@@ -247,14 +247,18 @@ def sample_from_distribution(dist: np.ndarray, width: int, shots: int, seed: int
 # named networks
 
 
+def _check_estimation_size(n: int) -> None:
+    if n < 1 or n > 6:
+        raise ResourceLimitError(f"estimation network size {n} outside 1..6")
+
+
 def build_estimation_network(n: int) -> Circuit:
     """Swap-test interferometer on 2n+1 qubits; qubit 0 is the control.
 
     The control's probability of reading 0 on input |0><0| (x) rho_a (x)
     rho_b is (tr(rho_a rho_b) + 1) / 2.
     """
-    if n < 1 or n > 6:
-        raise ResourceLimitError(f"estimation network size {n} outside 1..6")
+    _check_estimation_size(n)
     reg_a = tuple(range(1, n + 1))
     reg_b = tuple(range(n + 1, 2 * n + 1))
     gates = (Gate.h(0), Gate.cswap(0, reg_a, reg_b), Gate.h(0))
@@ -268,10 +272,36 @@ def estimation_input(rho_a: DensityOperator, rho_b: DensityOperator) -> DensityO
     return tensor(tensor(basis_state(1, 0).density(), rho_a), rho_b)
 
 
+def _two_outcome(p0: float) -> np.ndarray:
+    p0 = min(max(p0, 0.0), 1.0)
+    return np.array([p0, 1.0 - p0])
+
+
+def swap_test_distribution(rho_a: DensityOperator, rho_b: DensityOperator) -> np.ndarray:
+    """Control-qubit distribution [P0, P1] of the estimation network.
+
+    Closed form P0 = (1 + tr(rho_a rho_b)) / 2 (Buhrman, Cleve, Watrous,
+    de Wolf), without building the (2n+1)-qubit input; the size limits are
+    those of :func:`build_estimation_network`.
+    """
+    _check_estimation_size(rho_a.n)
+    if rho_a.n != rho_b.n:
+        raise ValueError("register sizes differ")
+    return _two_outcome((1.0 + np.vdot(rho_a.matrix, rho_b.matrix).real) / 2)
+
+
+def hadamard_test_distribution(u: np.ndarray, psi: PureState) -> np.ndarray:
+    """Flag distribution [P0, P1] of H . controlled-U . H on psi (x) |0>.
+
+    Closed form P0 = (1 + Re <psi|U|psi>) / 2; this is the checker that
+    ``controlled_circuit_unitary`` builds around U.
+    """
+    return _two_outcome((1.0 + np.vdot(psi.amplitudes, u @ psi.amplitudes).real) / 2)
+
+
 def swap_test_prob0(rho_a: DensityOperator, rho_b: DensityOperator) -> float:
     """Exact control-qubit P0 of the estimation network on the given pair."""
-    c = build_estimation_network(rho_a.n)
-    return probability_of_outcome(c, estimation_input(rho_a, rho_b), "0")
+    return float(swap_test_distribution(rho_a, rho_b)[0])
 
 
 @dataclass(frozen=True)
@@ -293,16 +323,6 @@ class CompositePlan:
     def exact_accept_prob(self, rho: DensityOperator) -> float:
         p0 = probability_of_outcome(self.estimator, estimation_input(rho, rho), "0")
         return p0 ** self.repetitions
-
-    def sample_accept_freq(self, rho: DensityOperator, shots: int, seed: int,
-                           *stream: int) -> float:
-        """Fraction of ``shots`` protocol runs in which all M tests pass."""
-        p0 = probability_of_outcome(self.estimator, estimation_input(rho, rho), "0")
-        passed = np.ones(shots, dtype=bool)
-        for r in range(self.repetitions):
-            rng = make_rng(seed, *stream, r)
-            passed &= rng.random(shots) < p0
-        return float(passed.mean())
 
     def monolithic_circuit(self) -> Circuit:
         block = 2 * self.m + 1

@@ -3,7 +3,7 @@
 Machine-readable JSON goes to stdout; one-line human summaries go to
 stderr so pipelines stay clean.  Exit codes: 0 = accepted / succeeded,
 1 = protocol rejected, 2 = usage or format error, 3 = resource or
-unsupported-oracle error.
+unsupported-oracle error, including running out of memory.
 """
 
 from __future__ import annotations
@@ -273,6 +273,10 @@ def main(argv=None) -> int:
         return 2
     except (ResourceLimitError, UnsupportedOracleError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 3
+    except MemoryError as exc:
+        # an allocation no size guard caught must not exit 1 ("rejected")
+        print(f"error: out of memory: {exc}", file=sys.stderr)
         return 3
 
 

@@ -41,7 +41,7 @@ class LanguageId:
     id: str
     params: dict = field(default_factory=dict)
 
-    _KNOWN = ("L1", "L2", "L3", "L4", "L5", "L3classical")
+    _KNOWN = ("L1", "L2", "L3", "L4", "L5")
 
     def __post_init__(self):
         if self.id not in self._KNOWN:

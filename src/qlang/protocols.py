@@ -3,8 +3,10 @@
 Every verifier is a pure function of (instance, certificate, repetition
 count, seed) and runs in two modes: exact (``shots=None``), where
 acceptance statistics come from the density-matrix oracle, and sampled,
-where control-qubit outcomes are drawn from the exact estimation-network
-distribution with the given shot budget.
+where control-qubit outcomes are drawn with the given shot budget from the
+exact swap-test or checker distribution.  L3-L5 take those distributions
+from their closed forms; the gate-level circuits in :mod:`qlang.circuits`
+are the reference they are tested against.
 """
 
 from __future__ import annotations
@@ -19,16 +21,18 @@ from .rng import make_rng
 from .circuits import (
     Circuit,
     Gate,
-    build_estimation_network,
     build_purity_circuit,
+    circuit_unitary,
     controlled_circuit_unitary,
     controlled_reflection,
     estimation_input,
     evolve_pure,
+    hadamard_test_distribution,
     probability_of_outcome,
     reflection_matrix,
-    sample_shots,
+    sample_from_distribution,
     subset_extract,
+    swap_test_distribution,
 )
 from .languages import member_L2, member_L3
 from .states import (
@@ -118,8 +122,7 @@ def _estimate_overlap(a: DensityOperator, b: DensityOperator, shots: int | None,
     """(estimate of tr(a b), statistical sigma) from swap-test statistics."""
     if shots is None:
         return overlap(a, b), 0.0
-    net = build_estimation_network(a.n)
-    res = sample_shots(net, estimation_input(a, b), shots, seed, *stream)
+    res = sample_from_distribution(swap_test_distribution(a, b), 1, shots, seed, *stream)
     p_hat = res.frequency("0")
     sigma_p = math.sqrt(max(p_hat * (1 - p_hat), 1.0 / shots) / shots)
     return 2 * p_hat - 1, 2 * sigma_p
@@ -465,25 +468,29 @@ def checker_from_certificate(cert: Certificate) -> Circuit:
 def verify_L5(phi: PureState, cert: Certificate, probes: int, seed: int = 0,
               shots: int | None = None) -> Verdict:
     """L4 verification plus behavioral tests of the derived checker:
-    orthogonal probes must raise the flag, the instance must not."""
+    orthogonal probes must raise the flag, the instance must not.
+
+    The checker is :func:`checker_from_certificate`'s circuit; its flag
+    distribution comes from the Hadamard-test closed form on the
+    certificate's unitary.
+    """
     base = verify_L4(phi, cert, probes, seed, shots)
-    checker = checker_from_certificate(cert)
     transcript = list(base.transcript)
     accepted = base.accepted
+    threshold = (1.0 - EXACT_DECISION_ATOL if shots is None
+                 else 1.0 - 3 * math.sqrt(1.0 / shots))
+    u = circuit_unitary(cert.circuit) if accepted else None
 
     def flag_prob(state: PureState, want: str, *stream: int) -> float:
-        inp = tensor_states(state, basis_state(1, 0)).density()
+        dist = hadamard_test_distribution(u, state)
         if shots is None:
-            return probability_of_outcome(checker, inp, want)
-        res = sample_shots(checker, inp, shots, seed, *stream)
-        return res.frequency(want)
+            return float(dist[int(want)])
+        return sample_from_distribution(dist, 1, shots, seed, *stream).frequency(want)
 
     if accepted:
         for j in range(probes):
             psi = random_orthogonal_state(phi, seed, 20, j)
             p1 = flag_prob(psi, "1", 21, j)
-            threshold = (1.0 - EXACT_DECISION_ATOL if shots is None
-                         else 1.0 - 3 * math.sqrt(1.0 / shots))
             ok = p1 >= threshold
             transcript.append({"phase": "checker_orthogonal", "probe": j,
                                "flag1_prob": p1, "passed": ok})
@@ -492,8 +499,6 @@ def verify_L5(phi: PureState, cert: Certificate, probes: int, seed: int = 0,
                 break
     if accepted:
         p0 = flag_prob(phi, "0", 22)
-        threshold = (1.0 - EXACT_DECISION_ATOL if shots is None
-                     else 1.0 - 3 * math.sqrt(1.0 / shots))
         ok = p0 >= threshold
         transcript.append({"phase": "checker_instance", "flag0_prob": p0,
                            "passed": ok})

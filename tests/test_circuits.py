@@ -18,8 +18,10 @@ from qlang.circuits import (
     parse_circuit_text,
     probability_of_outcome,
     reflection_matrix,
+    sample_from_distribution,
     sample_shots,
     subset_extract,
+    swap_test_distribution,
     swap_test_prob0,
 )
 from qlang.states import (
@@ -216,6 +218,38 @@ class TestSampling:
         for bits, count in res.outcomes.items():
             prob = probability_of_outcome(c, inp, bits)
             assert abs(count / shots - prob) <= 5 * np.sqrt(prob * (1 - prob) / shots) + 1e-12
+
+
+class TestSwapTestKernel:
+    """The closed-form kernel against the gate-level estimation network."""
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    def test_matches_network_distribution(self, n):
+        net = build_estimation_network(n)
+        for seed in range(3):
+            a = random_density(n, seed, 70)
+            b = random_density(n, seed, 71)
+            ref = outcome_distribution(net, estimation_input(a, b))
+            assert np.max(np.abs(swap_test_distribution(a, b) - ref)) < 1e-12
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    def test_same_shots_as_network(self, n):
+        net = build_estimation_network(n)
+        a = random_density(n, n, 72)
+        b = random_density(n, n, 73)
+        got = sample_from_distribution(swap_test_distribution(a, b), 1, 1000, 5, n, 2)
+        assert got == sample_shots(net, estimation_input(a, b), 1000, 5, n, 2)
+
+    def test_size_guards(self):
+        with pytest.raises(ResourceLimitError):
+            swap_test_distribution(maximally_mixed(7), maximally_mixed(7))
+        with pytest.raises(ValueError):
+            swap_test_distribution(maximally_mixed(1), maximally_mixed(2))
+
+    def test_six_qubits_stays_small(self):
+        # the network input would be a 2^13 x 2^13 matrix
+        rho = random_pure_state(6, 4).density()
+        assert swap_test_prob0(rho, rho) == pytest.approx(1.0, abs=1e-12)
 
 
 class TestPurityPlan:

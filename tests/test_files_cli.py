@@ -3,6 +3,7 @@ import json
 import numpy as np
 import pytest
 
+from qlang import cli
 from qlang.circuits import Circuit, Gate, circuit_unitary
 from qlang.cli import main
 from qlang.errors import CertificateError, FormatError
@@ -255,6 +256,22 @@ class TestCliExitCodes:
         p = tmp_path / "big.json"
         save_state(basis_state(11, 0), p)
         assert main(["oracle", "--state", str(p), "--language", "L2"]) == 3
+
+    def test_sampled_seven_qubit_swap_test_is_3(self, tmp_path, capsys):
+        p = tmp_path / "seven.json"
+        save_state(random_pure_state(7, 1), p)
+        assert main(["reflect", "--state", str(p), "--honest",
+                     "--probes", "1", "--shots", "100"]) == 3
+        assert "error:" in capsys.readouterr().err
+
+    def test_memory_error_is_3(self, monkeypatch, capsys):
+        def exhausted(args):
+            raise MemoryError("Unable to allocate 8.00 GiB")
+
+        monkeypatch.setattr(cli, "_cmd_calib", exhausted)
+        assert main(["calib", "--gap", "0.5", "--err", "0.1"]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "Traceback" not in err
 
     def test_bridge(self, tmp_path, capsys):
         c = tmp_path / "c.txt"

@@ -54,6 +54,12 @@ class TestLanguageId:
         with pytest.raises(ValueError):
             LanguageId("L7")
 
+    def test_classical_variant_is_not_an_id(self):
+        # the classical-description variant of L3 is member_L3_classical;
+        # classify() never served it as a language id
+        with pytest.raises(ValueError):
+            LanguageId("L3classical")
+
     def test_region_names(self):
         with pytest.raises(ValueError):
             RegionVerdict("maybe", 0.0)

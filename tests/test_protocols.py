@@ -9,6 +9,7 @@ from qlang.circuits import (
     Gate,
     circuit_unitary,
     evolve_pure,
+    hadamard_test_distribution,
     probability_of_outcome,
     reflection_matrix,
 )
@@ -371,6 +372,22 @@ class TestChecker:
         direct = circuit_unitary(build_checker_from_reflection(phi))
         derived = circuit_unitary(checker_from_certificate(merlin_L4_honest(phi)))
         assert np.max(np.abs(direct - derived)) < 1e-9
+
+    @pytest.mark.parametrize(
+        "strategy", [MerlinStrategy("honest")] + merlin_L4_cheat_library(),
+        ids=lambda m: m.mode)
+    def test_closed_form_flags_match_checker_circuit(self, strategy):
+        phi = random_pure_state(2, 204)
+        cert = strategy.certificate(phi, seed=3)
+        checker = checker_from_certificate(cert)
+        u = circuit_unitary(cert.circuit)
+        states = [phi] + [random_orthogonal_state(phi, 3, 20, j) for j in range(3)]
+        for psi in states + [random_pure_state(2, 205)]:
+            inp = tensor_states(psi, basis_state(1, 0)).density()
+            dist = hadamard_test_distribution(u, psi)
+            for bit in "01":
+                ref = probability_of_outcome(checker, inp, bit)
+                assert abs(dist[int(bit)] - ref) < 1e-12
 
 
 class TestVerifyL5:

@@ -17,11 +17,10 @@ from .errors import FormatError, ResourceLimitError
 from .rng import make_rng
 from .states import (
     MAX_QUBITS,
-    Bipartition,
     DensityOperator,
     PureState,
     basis_state,
-    partial_trace,
+    permute_qubits,
     tensor,
 )
 
@@ -299,11 +298,6 @@ def hadamard_test_distribution(u: np.ndarray, psi: PureState) -> np.ndarray:
     return _two_outcome((1.0 + np.vdot(psi.amplitudes, u @ psi.amplitudes).real) / 2)
 
 
-def swap_test_prob0(rho_a: DensityOperator, rho_b: DensityOperator) -> float:
-    """Exact control-qubit P0 of the estimation network on the given pair."""
-    return float(swap_test_distribution(rho_a, rho_b)[0])
-
-
 @dataclass(frozen=True)
 class CompositePlan:
     """Execution plan for the repeated-purity circuit.
@@ -363,16 +357,15 @@ def build_purity_circuit(m: int, repetitions: int) -> CompositePlan:
 
 
 def subset_extract(phi: PureState, subset_string: str) -> DensityOperator:
-    """State of the qubits marked '1', via permute-to-front then trace."""
+    """State of the qubits marked '1', M M^dagger with those qubits as M's rows."""
     if len(subset_string) != phi.n or set(subset_string) - {"0", "1"}:
         raise ValueError(f"subset string must be {phi.n} bits of 0/1")
     ones = [i for i, b in enumerate(subset_string) if b == "1"]
     zeros = [i for i, b in enumerate(subset_string) if b == "0"]
     if not ones or not zeros:
         raise ValueError("subset string must select a proper nonempty subset")
-    net = Circuit(phi.n, (Gate.permutation(ones + zeros),))
-    moved = evolve_pure(net, phi)
-    return partial_trace(moved.density(), range(len(ones)))
+    m = permute_qubits(phi.amplitudes, ones + zeros).reshape(1 << len(ones), -1)
+    return DensityOperator(len(ones), m @ m.conj().T, validate=False)
 
 
 def reflection_matrix(phi: PureState) -> np.ndarray:

@@ -185,7 +185,7 @@ def load_certificate(path) -> Certificate:
     first = stripped.splitlines()[0].strip() if stripped else ""
     if first.lower().startswith("qubits"):
         circuit = parse_circuit_text(text, _unitary_loader_for(path.parent))
-        return Certificate.circuit_description(circuit, text)
+        return Certificate.circuit_description(circuit)
     if first and not set(first) - {"0", "1"}:
         return Certificate.subset_string(first)
     raise CertificateError(f"{path}: unrecognized certificate payload")

@@ -22,6 +22,7 @@ from .states import (
     basis_state,
     is_separable_oracle,
     partial_trace,
+    permute_qubits,
     purity,
     schmidt_spectrum,
 )
@@ -136,10 +137,8 @@ def _split_factors(phi: PureState, cut: Bipartition):
     """Pure factors of a state with Schmidt rank 1 across ``cut``."""
     import numpy as np
 
-    order = cut.subset_a + cut.subset_b
-    t = phi.amplitudes.reshape([2] * phi.n).transpose(order)
-    mat = t.reshape(1 << len(cut.subset_a), 1 << len(cut.subset_b))
-    u, s, vh = np.linalg.svd(mat)
+    mat = permute_qubits(phi.amplitudes, cut.subset_a + cut.subset_b)
+    u, s, vh = np.linalg.svd(mat.reshape(1 << len(cut.subset_a), -1))
     a = PureState(len(cut.subset_a), u[:, 0] / np.linalg.norm(u[:, 0]))
     b = PureState(len(cut.subset_b), vh[0] / np.linalg.norm(vh[0]))
     return a, b

@@ -1,12 +1,11 @@
 """Verifier procedures and prover strategies for the five languages.
 
 Every verifier is a pure function of (instance, certificate, repetition
-count, seed) and runs in two modes: exact (``shots=None``), where
-acceptance statistics come from the density-matrix oracle, and sampled,
-where control-qubit outcomes are drawn with the given shot budget from the
-exact swap-test or checker distribution.  L3-L5 take those distributions
-from their closed forms; the gate-level circuits in :mod:`qlang.circuits`
-are the reference they are tested against.
+count, seed) and runs in two modes, exact (``shots=None``) and sampled.
+The modes differ only inside :class:`Estimator`, which each verifier builds
+from its ``shots`` argument.  L3-L5 take their swap-test and checker
+distributions from closed forms; the gate-level circuits in
+:mod:`qlang.circuits` are the reference they are tested against.
 """
 
 from __future__ import annotations
@@ -30,7 +29,6 @@ from .circuits import (
     hadamard_test_distribution,
     probability_of_outcome,
     reflection_matrix,
-    sample_from_distribution,
     subset_extract,
     swap_test_distribution,
 )
@@ -44,9 +42,9 @@ from .states import (
     overlap,
     partial_trace,
     partial_transpose,
+    permute_qubits,
     random_pure_state,
     schmidt_spectrum,
-    tensor_states,
 )
 
 ACCEPT_THRESHOLD = 0.5
@@ -63,13 +61,12 @@ class Certificate:
     coeffs: tuple = ()
     states: tuple = ()
     circuit: Circuit | None = None
-    size_bound: int = 0
 
     @classmethod
     def subset_string(cls, bits: str) -> "Certificate":
         if set(bits) - {"0", "1"}:
             raise CertificateError(f"subset string must be 0/1, got {bits!r}")
-        return cls("subset", subset=bits, size_bound=len(bits))
+        return cls("subset", subset=bits)
 
     @classmethod
     def witness(cls, parts) -> "Certificate":
@@ -79,13 +76,11 @@ class Certificate:
             raise CertificateError("witness coefficients must be finite and nonempty")
         if len({r.n for r in states}) != 1:
             raise CertificateError("witness states must share one dimension")
-        size = sum(r.dim * r.dim * 2 for r in states) + len(coeffs)
-        return cls("witness", coeffs=coeffs, states=states, size_bound=size)
+        return cls("witness", coeffs=coeffs, states=states)
 
     @classmethod
-    def circuit_description(cls, circuit: Circuit, text: str | None = None) -> "Certificate":
-        size = len(text) if text is not None else len(circuit.gates) + 1
-        return cls("circuit", circuit=circuit, size_bound=size)
+    def circuit_description(cls, circuit: Circuit) -> "Certificate":
+        return cls("circuit", circuit=circuit)
 
     def witness_matrix(self) -> np.ndarray:
         return sum(c * r.matrix for c, r in zip(self.coeffs, self.states))
@@ -114,18 +109,47 @@ class Verdict:
 
 
 # ---------------------------------------------------------------------------
-# overlap estimation shared by the sampled-mode verifiers
+# the exact/sampled split
 
 
-def _estimate_overlap(a: DensityOperator, b: DensityOperator, shots: int | None,
-                      seed: int, *stream: int):
-    """(estimate of tr(a b), statistical sigma) from swap-test statistics."""
-    if shots is None:
-        return overlap(a, b), 0.0
-    res = sample_from_distribution(swap_test_distribution(a, b), 1, shots, seed, *stream)
-    p_hat = res.frequency("0")
-    sigma_p = math.sqrt(max(p_hat * (1 - p_hat), 1.0 / shots) / shots)
-    return 2 * p_hat - 1, 2 * sigma_p
+@dataclass(frozen=True)
+class Estimator:
+    """Reads two-outcome tests [P0, P1] exactly (``shots=None``) or as shot
+    frequencies, outcome 0 on ``make_rng(seed, *stream).random(shots) < P0``:
+    the draws :func:`qlang.circuits.sample_from_distribution` makes."""
+
+    shots: int | None
+
+    def draws(self, p0: float, seed: int, *stream: int) -> np.ndarray:
+        """Per-shot 'outcome 0' events of one sampled two-outcome test."""
+        return make_rng(seed, *stream).random(self.shots) < p0
+
+    def prob(self, dist, outcome: int, seed: int, *stream: int) -> float:
+        """The probability, or shot frequency, of ``outcome`` (0 or 1)."""
+        if self.shots is None:
+            return float(dist[outcome])
+        zeros = self.draws(dist[0], seed, *stream)
+        return int(np.count_nonzero(~zeros if outcome else zeros)) / self.shots
+
+    def estimate_overlap(self, a: DensityOperator, b: DensityOperator, seed, *stream):
+        """(estimate of tr(a b), its sigma) from swap-test statistics."""
+        if self.shots is None:
+            return overlap(a, b), 0.0
+        p_hat = self.prob(swap_test_distribution(a, b), 0, seed, *stream)
+        sigma_p = math.sqrt(max(p_hat * (1 - p_hat), 1.0 / self.shots) / self.shots)
+        return 2 * p_hat - 1, 2 * sigma_p
+
+    def tolerance(self, sigma: float, atol: float) -> float:
+        """Allowed deviation of an estimate: ``atol`` exact, 3 sigma sampled."""
+        return atol if self.shots is None else 3 * sigma
+
+    def copies(self, per_shot: int) -> int:
+        """Instance copies consumed: ``per_shot`` per shot, one shot if exact."""
+        return per_shot * (self.shots or 1)
+
+    def recorded(self, freq: float) -> float | None:
+        """The Verdict's ``sampled_accept_freq``: None in exact mode."""
+        return None if self.shots is None else freq
 
 
 # ---------------------------------------------------------------------------
@@ -134,26 +158,24 @@ def _estimate_overlap(a: DensityOperator, b: DensityOperator, shots: int | None,
 
 def _purity_protocol(rho: DensityOperator, repetitions: int, seed: int,
                      shots: int | None, copies_per_run: int) -> Verdict:
+    est = Estimator(shots)
     plan = build_purity_circuit(rho.n, repetitions)
     p0 = probability_of_outcome(plan.estimator, estimation_input(rho, rho), "0")
     exact = p0 ** repetitions
     transcript = [{"p0_exact": p0}]
-    sampled = None
+    decided_on = exact
     if shots is not None:
         passed = np.ones(shots, dtype=bool)
         for r in range(repetitions):
-            rng = make_rng(seed, r)
-            zeros = rng.random(shots) < p0
-            passed &= zeros
-        sampled = float(passed.mean())
-        transcript.append({"sampled_accept_freq": sampled, "shots": shots})
-    decided_on = exact if sampled is None else sampled
+            passed &= est.draws(p0, seed, r)
+        decided_on = float(passed.mean())
+        transcript.append({"sampled_accept_freq": decided_on, "shots": shots})
     return Verdict(
         accepted=decided_on >= ACCEPT_THRESHOLD,
         exact_accept_prob=exact,
-        sampled_accept_freq=sampled,
+        sampled_accept_freq=est.recorded(decided_on),
         repetitions=repetitions,
-        copies_consumed=copies_per_run * repetitions * (shots or 1),
+        copies_consumed=est.copies(copies_per_run * repetitions),
         transcript=tuple(transcript),
     )
 
@@ -200,26 +222,16 @@ def verify_L2(phi: PureState, cert: Certificate, repetitions: int, seed: int = 0
 # L3: entanglement witness
 
 
-def _product_state_across(cut: Bipartition, a: PureState, b: PureState) -> PureState:
-    """a on subset A and b on subset B, in the original qubit ordering."""
-    joined = tensor_states(a, b)
-    order = cut.subset_a + cut.subset_b
-    inverse = [0] * cut.n
-    for pos, q in enumerate(order):
-        inverse[q] = pos
-    t = joined.amplitudes.reshape([2] * cut.n).transpose(inverse)
-    return PureState(cut.n, t.reshape(-1))
-
-
 def validity_panel(cut: Bipartition, seed: int, random_count: int = 200):
     """Product states used to vet a claimed witness: the computational
     basis plus ``random_count`` seeded Haar product states across the cut."""
     states = [basis_state(cut.n, i) for i in range(1 << cut.n)]
     na, nb = len(cut.subset_a), len(cut.subset_b)
+    inverse = np.argsort(cut.subset_a + cut.subset_b)  # (A, B) back to qubit order
     for j in range(random_count):
-        a = random_pure_state(na, seed, 101, j)
-        b = random_pure_state(nb, seed, 102, j)
-        states.append(_product_state_across(cut, a, b))
+        a = random_pure_state(na, seed, 101, j).amplitudes
+        b = random_pure_state(nb, seed, 102, j).amplitudes
+        states.append(PureState(cut.n, permute_qubits(np.kron(a, b), inverse)))
     return states
 
 
@@ -244,14 +256,14 @@ def merlin_L3_honest(rho: DensityOperator, cut: Bipartition) -> Certificate:
     return Certificate.witness(decompose_hermitian(w))
 
 
-def _witness_value(cert: Certificate, sigma: DensityOperator, shots: int | None,
+def _witness_value(cert: Certificate, sigma: DensityOperator, est: Estimator,
                    seed: int, *stream: int):
     """(sum_i c_i tr(rho_i sigma), sigma of the combined estimate)."""
     total = 0.0
     var = 0.0
     for i, (c, r) in enumerate(zip(cert.coeffs, cert.states)):
-        est, sig = _estimate_overlap(r, sigma, shots, seed, *stream, i)
-        total += c * est
+        value, sig = est.estimate_overlap(r, sigma, seed, *stream, i)
+        total += c * value
         var += (c * sig) ** 2
     return total, math.sqrt(var)
 
@@ -268,13 +280,14 @@ def verify_L3(rho: DensityOperator, cert: Certificate, shots: int | None = None,
         raise CertificateError("witness states do not match the instance dimension")
     if cut is None:
         cut = Bipartition.from_subset(rho.n, [0])
+    est = Estimator(shots)
     transcript = []
     panel_min = math.inf
     valid = True
     for j, sigma in enumerate(validity_panel(cut, seed, panel_random)):
-        value, sig = _witness_value(cert, sigma.density(), shots, seed, 1, j)
+        value, sig = _witness_value(cert, sigma.density(), est, seed, 1, j)
         panel_min = min(panel_min, value)
-        if value < -(3 * sig if shots is not None else EXACT_DECISION_ATOL):
+        if value < -est.tolerance(sig, EXACT_DECISION_ATOL):
             valid = False
             transcript.append({"phase": "validity", "panel_index": j,
                                "value": value, "sigma": sig})
@@ -282,24 +295,17 @@ def verify_L3(rho: DensityOperator, cert: Certificate, shots: int | None = None,
     transcript.insert(0, {"phase": "validity", "min_value": panel_min,
                           "passed": valid})
     exact_stat = float(np.vdot(cert.witness_matrix(), rho.matrix).real)
-    stat, sig = _witness_value(cert, rho, shots, seed, 2)
+    stat, sig = _witness_value(cert, rho, est, seed, 2)
     transcript.append({"phase": "decision", "statistic": stat, "sigma": sig,
                        "exact_statistic": exact_stat})
-    if shots is None:
-        decided = stat < -EXACT_DECISION_ATOL
-        sampled = None
-    else:
-        decided = stat < -3 * sig
-        sampled = 1.0 if (valid and decided) else 0.0
-    accepted = valid and decided
+    accepted = valid and stat < -est.tolerance(sig, EXACT_DECISION_ATOL)
     exact_accept = 1.0 if (valid and exact_stat < -EXACT_DECISION_ATOL) else 0.0
-    n_est = len(cert.coeffs)
     return Verdict(
         accepted=accepted,
         exact_accept_prob=exact_accept,
-        sampled_accept_freq=sampled,
+        sampled_accept_freq=est.recorded(1.0 if accepted else 0.0),
         repetitions=1,
-        copies_consumed=n_est * (shots or 1),
+        copies_consumed=est.copies(len(cert.coeffs)),
         transcript=tuple(transcript),
     )
 
@@ -393,13 +399,14 @@ def _complement_basis(phi: PureState) -> np.ndarray:
 
 
 def verify_L4(phi: PureState, cert: Certificate, probes: int, seed: int = 0,
-              shots: int | None = None, tol: float = L4_EXACT_TOL) -> Verdict:
+              shots: int | None = None) -> Verdict:
     """Probe the claimed reflection network with Haar-random states.
 
     For each probe xi: O1 = |<xi|phi>|^2, O2 = |<N xi|phi>|^2,
     O3 = |<N xi|xi>|^2.  A true reflection about phi gives O2 = O1 and
-    O3 = (2 O1 - 1)^2; any probe violating either relation (beyond ``tol``
-    exact, 3 sigma sampled) is a detected cheat.
+    O3 = (2 O1 - 1)^2; a probe violating either relation beyond
+    ``L4_EXACT_TOL`` (exact) or 3 sigma (sampled; O3 adds ``L4_EXACT_TOL``)
+    is a detected cheat.
     """
     if cert.kind != "circuit" or cert.circuit is None:
         raise CertificateError("expected a circuit certificate")
@@ -408,21 +415,20 @@ def verify_L4(phi: PureState, cert: Certificate, probes: int, seed: int = 0,
             f"certificate acts on {cert.circuit.n} qubits, instance has {phi.n}")
     if probes < 1:
         raise ValueError("probe count must be >= 1")
+    est = Estimator(shots)
     phi_rho = phi.density()
     transcript = []
     accepted = True
     for i in range(probes):
         xi = random_pure_state(phi.n, seed, i)
         xo = evolve_pure(cert.circuit, xi)
-        o1, s1 = _estimate_overlap(phi_rho, xi.density(), shots, seed, i, 0)
-        o2, s2 = _estimate_overlap(phi_rho, xo.density(), shots, seed, i, 1)
-        o3, s3 = _estimate_overlap(xo.density(), xi.density(), shots, seed, i, 2)
+        o1, s1 = est.estimate_overlap(phi_rho, xi.density(), seed, i, 0)
+        o2, s2 = est.estimate_overlap(phi_rho, xo.density(), seed, i, 1)
+        o3, s3 = est.estimate_overlap(xo.density(), xi.density(), seed, i, 2)
         expected_o3 = (2 * o1 - 1) ** 2
-        if shots is None:
-            tol1, tol2 = tol, tol
-        else:
-            tol1 = 3 * math.sqrt(s1 ** 2 + s2 ** 2)
-            tol2 = 3 * math.sqrt(s3 ** 2 + (4 * abs(2 * o1 - 1) * s1) ** 2) + tol
+        tol1 = est.tolerance(math.sqrt(s1 ** 2 + s2 ** 2), L4_EXACT_TOL)
+        sig3 = math.sqrt(s3 ** 2 + (4 * abs(2 * o1 - 1) * s1) ** 2)
+        tol2 = est.tolerance(sig3, 0.0) + L4_EXACT_TOL
         ok = abs(o2 - o1) <= tol1 and abs(o3 - expected_o3) <= tol2
         transcript.append({"probe": i, "O1": o1, "O2": o2, "O3": o3,
                            "expected_O3": expected_o3, "passed": ok})
@@ -433,9 +439,9 @@ def verify_L4(phi: PureState, cert: Certificate, probes: int, seed: int = 0,
     return Verdict(
         accepted=accepted,
         exact_accept_prob=exact,
-        sampled_accept_freq=None if shots is None else exact,
+        sampled_accept_freq=est.recorded(exact),
         repetitions=probes,
-        copies_consumed=2 * probes * (shots or 1),
+        copies_consumed=est.copies(2 * probes),
         transcript=tuple(transcript),
     )
 
@@ -475,22 +481,16 @@ def verify_L5(phi: PureState, cert: Certificate, probes: int, seed: int = 0,
     certificate's unitary.
     """
     base = verify_L4(phi, cert, probes, seed, shots)
+    est = Estimator(shots)
     transcript = list(base.transcript)
     accepted = base.accepted
-    threshold = (1.0 - EXACT_DECISION_ATOL if shots is None
-                 else 1.0 - 3 * math.sqrt(1.0 / shots))
+    # sampled: a flag frequency over N = est.copies(1) shots may fall 3 / sqrt(N) short of 1
+    threshold = 1.0 - est.tolerance(math.sqrt(1.0 / est.copies(1)), EXACT_DECISION_ATOL)
     u = circuit_unitary(cert.circuit) if accepted else None
-
-    def flag_prob(state: PureState, want: str, *stream: int) -> float:
-        dist = hadamard_test_distribution(u, state)
-        if shots is None:
-            return float(dist[int(want)])
-        return sample_from_distribution(dist, 1, shots, seed, *stream).frequency(want)
-
     if accepted:
         for j in range(probes):
             psi = random_orthogonal_state(phi, seed, 20, j)
-            p1 = flag_prob(psi, "1", 21, j)
+            p1 = est.prob(hadamard_test_distribution(u, psi), 1, seed, 21, j)
             ok = p1 >= threshold
             transcript.append({"phase": "checker_orthogonal", "probe": j,
                                "flag1_prob": p1, "passed": ok})
@@ -498,7 +498,7 @@ def verify_L5(phi: PureState, cert: Certificate, probes: int, seed: int = 0,
                 accepted = False
                 break
     if accepted:
-        p0 = flag_prob(phi, "0", 22)
+        p0 = est.prob(hadamard_test_distribution(u, phi), 0, seed, 22)
         ok = p0 >= threshold
         transcript.append({"phase": "checker_instance", "flag0_prob": p0,
                            "passed": ok})
@@ -507,9 +507,9 @@ def verify_L5(phi: PureState, cert: Certificate, probes: int, seed: int = 0,
     return Verdict(
         accepted=accepted,
         exact_accept_prob=exact,
-        sampled_accept_freq=None if shots is None else exact,
+        sampled_accept_freq=est.recorded(exact),
         repetitions=probes,
-        copies_consumed=base.copies_consumed + (probes + 1) * (shots or 1),
+        copies_consumed=base.copies_consumed + est.copies(probes + 1),
         transcript=tuple(transcript),
     )
 

@@ -273,14 +273,19 @@ def overlap(a: DensityOperator, b: DensityOperator) -> float:
     return float(np.vdot(a.matrix, b.matrix).real)
 
 
+def permute_qubits(amplitudes: np.ndarray, order) -> np.ndarray:
+    """Amplitudes whose qubit j is qubit ``order[j]`` of the input; reshape
+    to (2^k, -1) for qubits ``order[:k]`` on the rows."""
+    n = len(order)
+    return amplitudes.reshape([2] * n).transpose(order).reshape(-1)
+
+
 def schmidt_spectrum(phi: PureState, cut: Bipartition) -> SchmidtSpectrum:
     """Singular values of the amplitude matrix reshaped along ``cut``."""
     if cut.n != phi.n:
         raise ValueError("bipartition does not match the state size")
-    order = cut.subset_a + cut.subset_b
-    t = phi.amplitudes.reshape([2] * phi.n).transpose(order)
-    mat = t.reshape(1 << len(cut.subset_a), 1 << len(cut.subset_b))
-    sv = np.linalg.svd(mat, compute_uv=False)
+    mat = permute_qubits(phi.amplitudes, cut.subset_a + cut.subset_b)
+    sv = np.linalg.svd(mat.reshape(1 << len(cut.subset_a), -1), compute_uv=False)
     sv = np.clip(sv, 0.0, None)
     sv = sv / np.linalg.norm(sv)
     return SchmidtSpectrum(tuple(sv))

@@ -22,7 +22,6 @@ from qlang.circuits import (
     sample_shots,
     subset_extract,
     swap_test_distribution,
-    swap_test_prob0,
 )
 from qlang.states import (
     Bipartition,
@@ -75,16 +74,16 @@ class TestEstimationNetwork:
         # oracle: purity() computed directly from the matrix
         for seed in range(10):
             rho = random_density(1, seed, 50)
-            p0 = swap_test_prob0(rho, rho)
+            p0 = swap_test_distribution(rho, rho)[0]
             assert p0 == pytest.approx((purity(rho) + 1) / 2, abs=1e-12)
 
     def test_equal_pure_inputs_give_one(self):
         rho = random_pure_state(2, 3).density()
-        assert swap_test_prob0(rho, rho) == pytest.approx(1.0, abs=1e-10)
+        assert swap_test_distribution(rho, rho)[0] == pytest.approx(1.0, abs=1e-10)
 
     def test_mixed_target_case(self):
         # oracle: (0.5 + 1) / 2
-        p0 = swap_test_prob0(maximally_mixed(1), maximally_mixed(1))
+        p0 = swap_test_distribution(maximally_mixed(1), maximally_mixed(1))[0]
         assert p0 == pytest.approx(0.75, abs=1e-12)
 
     @settings(max_examples=15, deadline=None)
@@ -92,7 +91,7 @@ class TestEstimationNetwork:
     def test_visibility_law(self, seed, n):
         rho_a = random_density(n, seed, 51)
         rho_b = random_density(n, seed, 52)
-        p0 = swap_test_prob0(rho_a, rho_b)
+        p0 = swap_test_distribution(rho_a, rho_b)[0]
         assert abs(2 * p0 - 1 - overlap(rho_a, rho_b)) < 1e-10
 
     def test_network_is_unitary(self):
@@ -249,7 +248,7 @@ class TestSwapTestKernel:
     def test_six_qubits_stays_small(self):
         # the network input would be a 2^13 x 2^13 matrix
         rho = random_pure_state(6, 4).density()
-        assert swap_test_prob0(rho, rho) == pytest.approx(1.0, abs=1e-12)
+        assert swap_test_distribution(rho, rho)[0] == pytest.approx(1.0, abs=1e-12)
 
 
 class TestPurityPlan:
@@ -267,7 +266,7 @@ class TestPurityPlan:
         plan = build_purity_circuit(1, 1)
         rho = random_density(1, 13)
         assert plan.exact_accept_prob(rho) == pytest.approx(
-            swap_test_prob0(rho, rho), abs=1e-12)
+            swap_test_distribution(rho, rho)[0], abs=1e-12)
 
     @pytest.mark.parametrize("reps", [1, 2, 3])
     def test_factorized_equals_monolithic(self, reps):
@@ -299,12 +298,21 @@ class TestSubsetExtract:
             subset_extract(bell_state(), "00")
 
     @settings(max_examples=15, deadline=None)
-    @given(seeds)
-    def test_matches_partial_trace(self, seed):
-        phi = random_pure_state(3, seed, 62)
-        got = subset_extract(phi, "101")
-        want = partial_trace(phi.density(), [0, 2])
-        assert np.max(np.abs(got.matrix - want.matrix)) < 1e-12
+    @given(seeds, st.sampled_from([3, 4]))
+    def test_matches_partial_trace(self, seed, n):
+        # references: a direct partial trace, and the permutation-circuit
+        # route (move the kept qubits to the front, then trace the rest)
+        phi = random_pure_state(n, seed, 62)
+        for mask in range(1, (1 << n) - 1):
+            bits = format(mask, f"0{n}b")
+            ones = [i for i, b in enumerate(bits) if b == "1"]
+            zeros = [i for i, b in enumerate(bits) if b == "0"]
+            got = subset_extract(phi, bits)
+            want = partial_trace(phi.density(), ones)
+            assert np.max(np.abs(got.matrix - want.matrix)) < 1e-12
+            moved = evolve_pure(Circuit(n, (Gate.permutation(ones + zeros),)), phi)
+            want = partial_trace(moved.density(), range(len(ones)))
+            assert np.max(np.abs(got.matrix - want.matrix)) < 1e-12
 
 
 class TestControlledReflection:

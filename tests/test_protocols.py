@@ -12,10 +12,12 @@ from qlang.circuits import (
     hadamard_test_distribution,
     probability_of_outcome,
     reflection_matrix,
+    sample_from_distribution,
 )
 from qlang.errors import CertificateError, StrategyError
 from qlang.protocols import (
     Certificate,
+    Estimator,
     MerlinStrategy,
     Verdict,
     build_checker_from_reflection,
@@ -81,6 +83,16 @@ class TestCertificate:
         cert = Certificate.witness([(2.0, maximally_mixed(1)),
                                     (-1.0, basis_state(1, 0).density())])
         assert np.allclose(cert.witness_matrix(), np.diag([0.0, 1.0]))
+
+
+class TestEstimator:
+    @pytest.mark.parametrize("p0", [0.0, 0.3, 1.0])
+    def test_readings_match_inverse_cdf_sampling(self, p0):
+        dist = np.array([p0, 1.0 - p0])
+        for bit in "01":
+            ref = sample_from_distribution(dist, 1, 1000, 7, 21, 3).frequency(bit)
+            assert Estimator(1000).prob(dist, int(bit), 7, 21, 3) == ref
+            assert Estimator(None).prob(dist, int(bit), 7, 21, 3) == dist[int(bit)]
 
 
 class TestVerifyL1:

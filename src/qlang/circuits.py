@@ -168,13 +168,19 @@ def _apply_gate_left(mat: np.ndarray, gate: Gate, n: int) -> np.ndarray:
     return t.reshape(mat.shape)
 
 
+def apply_circuit(c: Circuit, mat: np.ndarray) -> np.ndarray:
+    """U @ mat for the circuit unitary U, gate by gate; ``mat`` is an
+    amplitude vector or a matrix with 2^n rows."""
+    for g in c.gates:
+        mat = _apply_gate_left(mat, g, c.n)
+    return mat
+
+
 def evolve_pure(c: Circuit, phi: PureState) -> PureState:
     """Apply the circuit unitary to a pure state."""
     if phi.n != c.n:
         raise ValueError("state size does not match circuit size")
-    v = phi.amplitudes.copy()
-    for g in c.gates:
-        v = _apply_gate_left(v, g, c.n)
+    v = apply_circuit(c, phi.amplitudes)
     return PureState(c.n, v / np.linalg.norm(v))
 
 
@@ -191,10 +197,7 @@ def evolve_exact(c: Circuit, rho: DensityOperator) -> DensityOperator:
 
 def circuit_unitary(c: Circuit) -> np.ndarray:
     """Full 2^n x 2^n unitary induced by the circuit."""
-    u = np.eye(1 << c.n, dtype=complex)
-    for g in c.gates:
-        u = _apply_gate_left(u, g, c.n)
-    return u
+    return apply_circuit(c, np.eye(1 << c.n, dtype=complex))
 
 
 def _bit_of(idx: np.ndarray, q: int, n: int) -> np.ndarray:
@@ -271,31 +274,40 @@ def estimation_input(rho_a: DensityOperator, rho_b: DensityOperator) -> DensityO
     return tensor(tensor(basis_state(1, 0).density(), rho_a), rho_b)
 
 
-def _two_outcome(p0: float) -> np.ndarray:
-    p0 = min(max(p0, 0.0), 1.0)
-    return np.array([p0, 1.0 - p0])
-
-
-def swap_test_distribution(rho_a: DensityOperator, rho_b: DensityOperator) -> np.ndarray:
-    """Control-qubit distribution [P0, P1] of the estimation network.
+def swap_test_p0(overlaps, n: int) -> np.ndarray:
+    """Control-qubit P0 of the n-register estimation network for each
+    overlap tr(rho_a rho_b) in ``overlaps``.
 
     Closed form P0 = (1 + tr(rho_a rho_b)) / 2 (Buhrman, Cleve, Watrous,
     de Wolf), without building the (2n+1)-qubit input; the size limits are
     those of :func:`build_estimation_network`.
     """
-    _check_estimation_size(rho_a.n)
+    _check_estimation_size(n)
+    return np.clip((1.0 + np.asarray(overlaps, dtype=float)) / 2, 0.0, 1.0)
+
+
+def swap_test_distribution(rho_a: DensityOperator, rho_b: DensityOperator) -> np.ndarray:
+    """Control-qubit distribution [P0, P1] of the estimation network."""
     if rho_a.n != rho_b.n:
         raise ValueError("register sizes differ")
-    return _two_outcome((1.0 + np.vdot(rho_a.matrix, rho_b.matrix).real) / 2)
+    p0 = swap_test_p0(np.vdot(rho_a.matrix, rho_b.matrix).real, rho_a.n)
+    return np.array([p0, 1.0 - p0])
+
+
+def hadamard_test_p0(psi: np.ndarray, u_psi: np.ndarray) -> np.ndarray:
+    """Flag P0 of H . controlled-U . H on psi (x) |0>, for each amplitude
+    row psi of ``psi`` and its image U psi, the matching row of ``u_psi``.
+
+    Closed form P0 = (1 + Re <psi|U|psi>) / 2; this is the checker that
+    :func:`controlled_unitary` builds around U.
+    """
+    return np.clip((1.0 + np.sum(psi.conj() * u_psi, axis=-1).real) / 2, 0.0, 1.0)
 
 
 def hadamard_test_distribution(u: np.ndarray, psi: PureState) -> np.ndarray:
-    """Flag distribution [P0, P1] of H . controlled-U . H on psi (x) |0>.
-
-    Closed form P0 = (1 + Re <psi|U|psi>) / 2; this is the checker that
-    ``controlled_circuit_unitary`` builds around U.
-    """
-    return _two_outcome((1.0 + np.vdot(psi.amplitudes, u @ psi.amplitudes).real) / 2)
+    """Flag distribution [P0, P1] of H . controlled-U . H on psi (x) |0>."""
+    p0 = hadamard_test_p0(psi.amplitudes, u @ psi.amplitudes)
+    return np.array([p0, 1.0 - p0])
 
 
 @dataclass(frozen=True)
@@ -373,23 +385,21 @@ def reflection_matrix(phi: PureState) -> np.ndarray:
     return 2 * np.outer(phi.amplitudes, phi.amplitudes.conj()) - np.eye(phi.dim)
 
 
+def controlled_unitary(u: np.ndarray) -> Gate:
+    """Apply ``u`` to the first n qubits iff the extra last qubit reads 1:
+    I (x) |0><0| + u (x) |1><1|."""
+    n = u.shape[0].bit_length() - 1
+    p0 = np.diag([1.0, 0.0])
+    p1 = np.diag([0.0, 1.0])
+    full = np.kron(np.eye(u.shape[0]), p0) + np.kron(u, p1)
+    return Gate.unitary(full, tuple(range(n + 1)))
+
+
 def controlled_reflection(phi: PureState) -> Gate:
     """Reflection about ``phi`` applied iff the extra last qubit reads 1."""
     if phi.n > 6:
         raise ResourceLimitError("controlled reflection supports at most 6 register qubits")
-    p0 = np.diag([1.0, 0.0])
-    p1 = np.diag([0.0, 1.0])
-    u = np.kron(np.eye(phi.dim), p0) + np.kron(reflection_matrix(phi), p1)
-    return Gate.unitary(u, tuple(range(phi.n + 1)))
-
-
-def controlled_circuit_unitary(c: Circuit) -> Gate:
-    """Apply the circuit's unitary iff the extra last qubit reads 1."""
-    u = circuit_unitary(c)
-    p0 = np.diag([1.0, 0.0])
-    p1 = np.diag([0.0, 1.0])
-    full = np.kron(np.eye(u.shape[0]), p0) + np.kron(u, p1)
-    return Gate.unitary(full, tuple(range(c.n + 1)))
+    return controlled_unitary(reflection_matrix(phi))
 
 
 # ---------------------------------------------------------------------------

@@ -4,46 +4,53 @@ Every verifier is a pure function of (instance, certificate, repetition
 count, seed) and runs in two modes, exact (``shots=None``) and sampled.
 The modes differ only inside :class:`Estimator`, which each verifier builds
 from its ``shots`` argument.  L3-L5 take their swap-test and checker
-distributions from closed forms; the gate-level circuits in
-:mod:`qlang.circuits` are the reference they are tested against.
+distributions from closed forms on whole batches: the L3 validity panel is
+one amplitude array scored with one ``einsum``, and the L4/L5 probes are one
+block that the certificate's gates act on together.  Random states and shot
+draws come from :func:`qlang.rng.streams`, which derives a batch of streams
+at once and draws exactly what :func:`qlang.rng.make_rng` would.  The
+gate-level circuits in :mod:`qlang.circuits` are the reference these
+kernels are tested against.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from itertools import islice
+from typing import Iterator
 
 import numpy as np
 
 from .errors import CertificateError, StrategyError
-from .rng import make_rng
+from .rng import make_rng, streams
 from .circuits import (
     Circuit,
     Gate,
+    apply_circuit,
     build_purity_circuit,
     circuit_unitary,
-    controlled_circuit_unitary,
     controlled_reflection,
+    controlled_unitary,
     estimation_input,
-    evolve_pure,
-    hadamard_test_distribution,
+    hadamard_test_p0,
     probability_of_outcome,
     reflection_matrix,
     subset_extract,
-    swap_test_distribution,
+    swap_test_p0,
 )
 from .languages import member_L2, member_L3
 from .states import (
     Bipartition,
     DensityOperator,
     PureState,
-    basis_state,
     decompose_hermitian,
     overlap,
     partial_trace,
     partial_transpose,
     permute_qubits,
     random_pure_state,
+    random_pure_states,
     schmidt_spectrum,
 )
 
@@ -88,7 +95,12 @@ class Certificate:
 
 @dataclass(frozen=True)
 class Verdict:
-    """Outcome of one protocol execution."""
+    """Outcome of one protocol execution.
+
+    ``repetitions`` is the protocol's repetition count: the number M of
+    swap tests ANDed for L1/L2, 1 for L3 (one panel pass and one decision),
+    and the number of probes for L4/L5.
+    """
 
     accepted: bool
     exact_accept_prob: float
@@ -114,30 +126,41 @@ class Verdict:
 
 @dataclass(frozen=True)
 class Estimator:
-    """Reads two-outcome tests [P0, P1] exactly (``shots=None``) or as shot
-    frequencies, outcome 0 on ``make_rng(seed, *stream).random(shots) < P0``:
-    the draws :func:`qlang.circuits.sample_from_distribution` makes."""
+    """Reads batches of two-outcome tests [P0, P1] exactly (``shots=None``)
+    or as shot frequencies.  Test k of a batch reads outcome 0 on the shots
+    where ``make_rng(seed, *keys[k]).random(shots) < P0``, the draws
+    :func:`qlang.circuits.sample_from_distribution` makes; the streams come
+    from :func:`qlang.rng.streams`, and every reading is drawn lazily, in
+    order, so a loop that stops early draws no further tests."""
 
     shots: int | None
 
-    def draws(self, p0: float, seed: int, *stream: int) -> np.ndarray:
-        """Per-shot 'outcome 0' events of one sampled two-outcome test."""
-        return make_rng(seed, *stream).random(self.shots) < p0
+    def draws(self, p0s, seed: int, keys) -> Iterator[np.ndarray]:
+        """Per-shot 'outcome 0' events of each sampled test, in order."""
+        for p0, rng in zip(p0s, streams(seed, keys)):
+            yield rng.random(self.shots) < p0
 
-    def prob(self, dist, outcome: int, seed: int, *stream: int) -> float:
-        """The probability, or shot frequency, of ``outcome`` (0 or 1)."""
+    def probs(self, p0s, outcome: int, seed: int, keys) -> Iterator[float]:
+        """The probability, or shot frequency, of ``outcome`` (0 or 1) in
+        each test, in order."""
         if self.shots is None:
-            return float(dist[outcome])
-        zeros = self.draws(dist[0], seed, *stream)
-        return int(np.count_nonzero(~zeros if outcome else zeros)) / self.shots
+            for p0 in p0s:
+                yield float(1.0 - p0 if outcome else p0)
+            return
+        for zeros in self.draws(p0s, seed, keys):
+            yield int(np.count_nonzero(~zeros if outcome else zeros)) / self.shots
 
-    def estimate_overlap(self, a: DensityOperator, b: DensityOperator, seed, *stream):
-        """(estimate of tr(a b), its sigma) from swap-test statistics."""
+    def overlaps(self, traces, n: int, seed: int, keys) -> Iterator[tuple]:
+        """(estimate of tr(a b), its sigma) for each overlap tr(a b) of
+        n-qubit states in ``traces``, in order: the trace itself, or the
+        statistic of its sampled swap test."""
         if self.shots is None:
-            return overlap(a, b), 0.0
-        p_hat = self.prob(swap_test_distribution(a, b), 0, seed, *stream)
-        sigma_p = math.sqrt(max(p_hat * (1 - p_hat), 1.0 / self.shots) / self.shots)
-        return 2 * p_hat - 1, 2 * sigma_p
+            for t in traces:
+                yield float(t), 0.0
+            return
+        for p_hat in self.probs(swap_test_p0(traces, n), 0, seed, keys):
+            sigma_p = math.sqrt(max(p_hat * (1 - p_hat), 1.0 / self.shots) / self.shots)
+            yield 2 * p_hat - 1, 2 * sigma_p
 
     def tolerance(self, sigma: float, atol: float) -> float:
         """Allowed deviation of an estimate: ``atol`` exact, 3 sigma sampled."""
@@ -166,8 +189,8 @@ def _purity_protocol(rho: DensityOperator, repetitions: int, seed: int,
     decided_on = exact
     if shots is not None:
         passed = np.ones(shots, dtype=bool)
-        for r in range(repetitions):
-            passed &= est.draws(p0, seed, r)
+        for zeros in est.draws([p0] * repetitions, seed, [(r,) for r in range(repetitions)]):
+            passed &= zeros
         decided_on = float(passed.mean())
         transcript.append({"sampled_accept_freq": decided_on, "shots": shots})
     return Verdict(
@@ -222,17 +245,17 @@ def verify_L2(phi: PureState, cert: Certificate, repetitions: int, seed: int = 0
 # L3: entanglement witness
 
 
-def validity_panel(cut: Bipartition, seed: int, random_count: int = 200):
-    """Product states used to vet a claimed witness: the computational
-    basis plus ``random_count`` seeded Haar product states across the cut."""
-    states = [basis_state(cut.n, i) for i in range(1 << cut.n)]
+def validity_panel(cut: Bipartition, seed: int, random_count: int = 200) -> np.ndarray:
+    """Amplitude rows of the product states that vet a claimed witness: the
+    computational basis, then ``random_count`` seeded Haar product states
+    a_j (x) b_j across the cut, a_j on stream (seed, 101, j) and b_j on
+    (seed, 102, j)."""
     na, nb = len(cut.subset_a), len(cut.subset_b)
+    a = random_pure_states(na, seed, [(101, j) for j in range(random_count)])
+    b = random_pure_states(nb, seed, [(102, j) for j in range(random_count)])
+    products = (a[:, :, None] * b[:, None, :]).reshape(random_count, -1)
     inverse = np.argsort(cut.subset_a + cut.subset_b)  # (A, B) back to qubit order
-    for j in range(random_count):
-        a = random_pure_state(na, seed, 101, j).amplitudes
-        b = random_pure_state(nb, seed, 102, j).amplitudes
-        states.append(PureState(cut.n, permute_qubits(np.kron(a, b), inverse)))
-    return states
+    return np.vstack([np.eye(1 << cut.n, dtype=complex), permute_qubits(products, inverse)])
 
 
 def merlin_L3_honest(rho: DensityOperator, cut: Bipartition) -> Certificate:
@@ -256,13 +279,13 @@ def merlin_L3_honest(rho: DensityOperator, cut: Bipartition) -> Certificate:
     return Certificate.witness(decompose_hermitian(w))
 
 
-def _witness_value(cert: Certificate, sigma: DensityOperator, est: Estimator,
-                   seed: int, *stream: int):
-    """(sum_i c_i tr(rho_i sigma), sigma of the combined estimate)."""
+def _witness_value(coeffs, readings):
+    """(sum_i c_i tr(rho_i sigma), sigma of the combined estimate) from the
+    next ``len(coeffs)`` overlap readings (zip stops at the last coefficient
+    without taking a further reading)."""
     total = 0.0
     var = 0.0
-    for i, (c, r) in enumerate(zip(cert.coeffs, cert.states)):
-        value, sig = est.estimate_overlap(r, sigma, seed, *stream, i)
+    for c, (value, sig) in zip(coeffs, readings):
         total += c * value
         var += (c * sig) ** 2
     return total, math.sqrt(var)
@@ -273,7 +296,9 @@ def verify_L3(rho: DensityOperator, cert: Certificate, shots: int | None = None,
               panel_random: int = 200) -> Verdict:
     """Two-phase witness check: vet the witness on product states, then
     accept iff the witness expectation on the instance is negative beyond
-    statistical noise (3 sigma sampled, 1e-9 exact)."""
+    statistical noise (3 sigma sampled, 1e-9 exact).  Panel state j and
+    witness state i are swap-tested on stream (seed, 1, j, i), the instance
+    and witness state i on (seed, 2, i)."""
     if cert.kind != "witness":
         raise CertificateError("expected a witness certificate")
     if any(r.n != rho.n for r in cert.states):
@@ -281,11 +306,19 @@ def verify_L3(rho: DensityOperator, cert: Certificate, shots: int | None = None,
     if cut is None:
         cut = Bipartition.from_subset(rho.n, [0])
     est = Estimator(shots)
+    k = len(cert.coeffs)
+    panel = validity_panel(cut, seed, panel_random)
+    # tr(rho_i |s><s|) = <s|rho_i|s> for every panel row s and witness state
+    # i, (j, i) row-major; a three-operand einsum is 6-16x slower at n = 4..8
+    mats = np.array([r.matrix for r in cert.states])
+    traces = ((panel.conj() @ mats) * panel).sum(axis=-1).real.T
+    readings = est.overlaps(traces.ravel(), rho.n, seed,
+                            [(1, j, i) for j in range(len(panel)) for i in range(k)])
     transcript = []
     panel_min = math.inf
     valid = True
-    for j, sigma in enumerate(validity_panel(cut, seed, panel_random)):
-        value, sig = _witness_value(cert, sigma.density(), est, seed, 1, j)
+    for j in range(len(panel)):
+        value, sig = _witness_value(cert.coeffs, readings)
         panel_min = min(panel_min, value)
         if value < -est.tolerance(sig, EXACT_DECISION_ATOL):
             valid = False
@@ -295,7 +328,8 @@ def verify_L3(rho: DensityOperator, cert: Certificate, shots: int | None = None,
     transcript.insert(0, {"phase": "validity", "min_value": panel_min,
                           "passed": valid})
     exact_stat = float(np.vdot(cert.witness_matrix(), rho.matrix).real)
-    stat, sig = _witness_value(cert, rho, est, seed, 2)
+    stat, sig = _witness_value(cert.coeffs, est.overlaps(
+        [overlap(r, rho) for r in cert.states], rho.n, seed, [(2, i) for i in range(k)]))
     transcript.append({"phase": "decision", "statistic": stat, "sigma": sig,
                        "exact_statistic": exact_stat})
     accepted = valid and stat < -est.tolerance(sig, EXACT_DECISION_ATOL)
@@ -305,7 +339,7 @@ def verify_L3(rho: DensityOperator, cert: Certificate, shots: int | None = None,
         exact_accept_prob=exact_accept,
         sampled_accept_freq=est.recorded(1.0 if accepted else 0.0),
         repetitions=1,
-        copies_consumed=est.copies(len(cert.coeffs)),
+        copies_consumed=est.copies(k),
         transcript=tuple(transcript),
     )
 
@@ -398,6 +432,18 @@ def _complement_basis(phi: PureState) -> np.ndarray:
     return vecs[:, 1:]  # the single near-zero eigenvalue is phi itself
 
 
+def probe_overlaps(phi: PureState, circuit: Circuit, seed: int, probes: int) -> np.ndarray:
+    """Rows (O1, O2, O3) = (|<xi|phi>|^2, |<N xi|phi>|^2, |<N xi|xi>|^2) for
+    the probes xi on streams (seed, i), i < probes, and the network N,
+    which acts on all probes as one block, gate by gate."""
+    xi = random_pure_states(phi.n, seed, [(i,) for i in range(probes)])
+    xo = apply_circuit(circuit, xi.T).T  # xi itself for a gateless circuit
+    xo = xo / np.linalg.norm(xo, axis=1, keepdims=True)
+    return np.column_stack([np.abs(xi.conj() @ phi.amplitudes) ** 2,
+                            np.abs(xo.conj() @ phi.amplitudes) ** 2,
+                            np.abs(np.sum(xo.conj() * xi, axis=1)) ** 2])
+
+
 def verify_L4(phi: PureState, cert: Certificate, probes: int, seed: int = 0,
               shots: int | None = None) -> Verdict:
     """Probe the claimed reflection network with Haar-random states.
@@ -406,7 +452,8 @@ def verify_L4(phi: PureState, cert: Certificate, probes: int, seed: int = 0,
     O3 = |<N xi|xi>|^2.  A true reflection about phi gives O2 = O1 and
     O3 = (2 O1 - 1)^2; a probe violating either relation beyond
     ``L4_EXACT_TOL`` (exact) or 3 sigma (sampled; O3 adds ``L4_EXACT_TOL``)
-    is a detected cheat.
+    is a detected cheat.  The overlaps come from :func:`probe_overlaps`;
+    probe i's three swap tests are sampled on streams (seed, i, 0..2).
     """
     if cert.kind != "circuit" or cert.circuit is None:
         raise CertificateError("expected a circuit certificate")
@@ -416,15 +463,13 @@ def verify_L4(phi: PureState, cert: Certificate, probes: int, seed: int = 0,
     if probes < 1:
         raise ValueError("probe count must be >= 1")
     est = Estimator(shots)
-    phi_rho = phi.density()
+    traces = probe_overlaps(phi, cert.circuit, seed, probes)
+    readings = est.overlaps(traces.ravel(), phi.n, seed,
+                            [(i, t) for i in range(probes) for t in range(3)])
     transcript = []
     accepted = True
     for i in range(probes):
-        xi = random_pure_state(phi.n, seed, i)
-        xo = evolve_pure(cert.circuit, xi)
-        o1, s1 = est.estimate_overlap(phi_rho, xi.density(), seed, i, 0)
-        o2, s2 = est.estimate_overlap(phi_rho, xo.density(), seed, i, 1)
-        o3, s3 = est.estimate_overlap(xo.density(), xi.density(), seed, i, 2)
+        (o1, s1), (o2, s2), (o3, s3) = islice(readings, 3)
         expected_o3 = (2 * o1 - 1) ** 2
         tol1 = est.tolerance(math.sqrt(s1 ** 2 + s2 ** 2), L4_EXACT_TOL)
         sig3 = math.sqrt(s3 ** 2 + (4 * abs(2 * o1 - 1) * s1) ** 2)
@@ -467,8 +512,20 @@ def checker_from_certificate(cert: Certificate) -> Circuit:
         raise CertificateError("expected a circuit certificate")
     n = cert.circuit.n
     return Circuit(n + 1,
-                   (Gate.h(n), controlled_circuit_unitary(cert.circuit), Gate.h(n)),
+                   (Gate.h(n), controlled_unitary(circuit_unitary(cert.circuit)), Gate.h(n)),
                    measured=(n,))
+
+
+def _orthogonal_probes(phi: PureState, seed: int, count: int) -> np.ndarray:
+    """Rows ``random_orthogonal_state(phi, seed, 20, j)`` for j < count,
+    every first attempt drawn in one batch."""
+    v = random_pure_states(phi.n, seed, [(20, j, 0) for j in range(count)])
+    v -= np.outer(v @ phi.amplitudes.conj(), phi.amplitudes)
+    norms = np.linalg.norm(v, axis=1)
+    for j in np.flatnonzero(norms <= 1e-6):  # that attempt was (nearly) phi itself
+        v[j] = random_orthogonal_state(phi, seed, 20, j).amplitudes
+        norms[j] = 1.0
+    return v / norms[:, None]
 
 
 def verify_L5(phi: PureState, cert: Certificate, probes: int, seed: int = 0,
@@ -477,8 +534,10 @@ def verify_L5(phi: PureState, cert: Certificate, probes: int, seed: int = 0,
     orthogonal probes must raise the flag, the instance must not.
 
     The checker is :func:`checker_from_certificate`'s circuit; its flag
-    distribution comes from the Hadamard-test closed form on the
-    certificate's unitary.
+    distribution comes from the Hadamard-test closed form, with the
+    certificate's gates acting on the orthogonal probes and the instance as
+    one block.  Orthogonal probe j is drawn on streams (seed, 20, j, ...)
+    and its flag on (seed, 21, j); the instance's flag on (seed, 22).
     """
     base = verify_L4(phi, cert, probes, seed, shots)
     est = Estimator(shots)
@@ -486,23 +545,22 @@ def verify_L5(phi: PureState, cert: Certificate, probes: int, seed: int = 0,
     accepted = base.accepted
     # sampled: a flag frequency over N = est.copies(1) shots may fall 3 / sqrt(N) short of 1
     threshold = 1.0 - est.tolerance(math.sqrt(1.0 / est.copies(1)), EXACT_DECISION_ATOL)
-    u = circuit_unitary(cert.circuit) if accepted else None
     if accepted:
-        for j in range(probes):
-            psi = random_orthogonal_state(phi, seed, 20, j)
-            p1 = est.prob(hadamard_test_distribution(u, psi), 1, seed, 21, j)
+        tested = np.vstack([_orthogonal_probes(phi, seed, probes), phi.amplitudes])
+        p0 = hadamard_test_p0(tested, apply_circuit(cert.circuit, tested.T).T)
+        flags = est.probs(p0[:probes], 1, seed, [(21, j) for j in range(probes)])
+        for j, p1 in enumerate(flags):
             ok = p1 >= threshold
             transcript.append({"phase": "checker_orthogonal", "probe": j,
                                "flag1_prob": p1, "passed": ok})
             if not ok:
                 accepted = False
                 break
-    if accepted:
-        p0 = est.prob(hadamard_test_distribution(u, phi), 0, seed, 22)
-        ok = p0 >= threshold
-        transcript.append({"phase": "checker_instance", "flag0_prob": p0,
-                           "passed": ok})
-        accepted = ok
+        if accepted:
+            p0_instance = next(est.probs(p0[probes:], 0, seed, [(22,)]))
+            accepted = p0_instance >= threshold
+            transcript.append({"phase": "checker_instance", "flag0_prob": p0_instance,
+                               "passed": accepted})
     exact = 1.0 if accepted else 0.0
     return Verdict(
         accepted=accepted,

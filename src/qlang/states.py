@@ -17,6 +17,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ResourceLimitError, UnsupportedOracleError
+from .rng import make_rng, streams
 
 ATOL_CONSTRUCT = 1e-10
 ATOL_RECON = 1e-9
@@ -209,17 +210,25 @@ def tensor_states(*parts: PureState) -> PureState:
 
 def random_pure_state(n: int, seed: int, *stream: int) -> PureState:
     """Haar-random pure state, deterministic per (seed, stream)."""
-    from .rng import make_rng
-
     rng = make_rng(seed, *stream)
     v = rng.standard_normal(1 << n) + 1j * rng.standard_normal(1 << n)
     return PureState(n, v / np.linalg.norm(v))
 
 
+def random_pure_states(n: int, seed: int, keys) -> np.ndarray:
+    """Amplitude rows ``random_pure_state(n, seed, *key).amplitudes``, bit
+    for bit, for each stream tuple in ``keys``, drawn by :func:`streams`."""
+    d = 1 << n
+    parts = np.empty((len(keys), 2, d))  # real then imaginary part, one draw
+    for row, rng in zip(parts, streams(seed, keys)):
+        rng.standard_normal(out=row)
+    v = parts[:, 0] + 1j * parts[:, 1]
+    # np.linalg.norm row by row: a batched norm sums in another order
+    return v / np.array([np.linalg.norm(row) for row in v]).reshape(-1, 1)
+
+
 def random_density(n: int, seed: int, *stream: int, rank: int | None = None) -> DensityOperator:
     """Random mixed state: Wishart-normalized G G^dagger of the given rank."""
-    from .rng import make_rng
-
     rng = make_rng(seed, *stream)
     d = 1 << n
     r = d if rank is None else rank
@@ -275,9 +284,12 @@ def overlap(a: DensityOperator, b: DensityOperator) -> float:
 
 def permute_qubits(amplitudes: np.ndarray, order) -> np.ndarray:
     """Amplitudes whose qubit j is qubit ``order[j]`` of the input; reshape
-    to (2^k, -1) for qubits ``order[:k]`` on the rows."""
+    to (2^k, -1) for qubits ``order[:k]`` on the rows.  A 2-D input is a
+    stack of amplitude rows, each permuted alike."""
     n = len(order)
-    return amplitudes.reshape([2] * n).transpose(order).reshape(-1)
+    lead = amplitudes.shape[:-1]
+    axes = [*range(len(lead)), *(len(lead) + q for q in order)]
+    return amplitudes.reshape(lead + (2,) * n).transpose(axes).reshape(lead + (-1,))
 
 
 def schmidt_spectrum(phi: PureState, cut: Bipartition) -> SchmidtSpectrum:

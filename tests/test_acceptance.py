@@ -135,7 +135,7 @@ def test_4_L3_witness_protocol():
 
     w = cert.witness_matrix()
     from qlang.protocols import validity_panel
-    vals = [float(np.vdot(w, s.density().matrix).real)
+    vals = [float(np.vdot(w, np.outer(s, s.conj())).real)
             for s in validity_panel(BELL_CUT, 3, 200)]
     assert min(vals) >= -1e-9
 

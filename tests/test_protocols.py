@@ -4,12 +4,14 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from qlang import circuits, protocols
 from qlang.circuits import (
     Circuit,
     Gate,
     circuit_unitary,
     evolve_pure,
     hadamard_test_distribution,
+    parse_circuit_text,
     probability_of_outcome,
     reflection_matrix,
     sample_from_distribution,
@@ -27,6 +29,7 @@ from qlang.protocols import (
     merlin_L3_honest,
     merlin_L4_cheat_library,
     merlin_L4_honest,
+    probe_overlaps,
     random_orthogonal_state,
     required_repetitions,
     validity_panel,
@@ -44,6 +47,8 @@ from qlang.states import (
     bell_state,
     ghz_state,
     maximally_mixed,
+    overlap,
+    permute_qubits,
     plus_state,
     random_pure_state,
     tensor_states,
@@ -91,8 +96,8 @@ class TestEstimator:
         dist = np.array([p0, 1.0 - p0])
         for bit in "01":
             ref = sample_from_distribution(dist, 1, 1000, 7, 21, 3).frequency(bit)
-            assert Estimator(1000).prob(dist, int(bit), 7, 21, 3) == ref
-            assert Estimator(None).prob(dist, int(bit), 7, 21, 3) == dist[int(bit)]
+            assert next(Estimator(1000).probs([p0], int(bit), 7, [(21, 3)])) == ref
+            assert next(Estimator(None).probs([p0], int(bit), 7, [(21, 3)])) == dist[int(bit)]
 
 
 class TestVerifyL1:
@@ -206,7 +211,7 @@ class TestMerlinL3:
     def test_witness_nonnegative_on_product_panel(self):
         cert = merlin_L3_honest(bell_state().density(), BELL_CUT)
         w = cert.witness_matrix()
-        vals = [np.vdot(w, s.density().matrix).real
+        vals = [np.vdot(w, np.outer(s, s.conj())).real
                 for s in validity_panel(BELL_CUT, 17, 100)]
         assert min(vals) >= -1e-9
 
@@ -215,13 +220,33 @@ class TestMerlinL3:
         cert = merlin_L3_honest(rho, BELL_CUT)
         stat = np.vdot(cert.witness_matrix(), rho.matrix).real
         assert stat < -1e-6
-        vals = [np.vdot(cert.witness_matrix(), s.density().matrix).real
+        vals = [np.vdot(cert.witness_matrix(), np.outer(s, s.conj())).real
                 for s in validity_panel(BELL_CUT, 18, 100)]
         assert min(vals) >= -1e-9
 
     def test_separable_raises(self):
         with pytest.raises(StrategyError):
             merlin_L3_honest(maximally_mixed(2), BELL_CUT)
+
+
+class TestValidityPanel:
+    # non-contiguous cuts of 3 qubits, with the order that takes the
+    # kron's (A, B) qubit order back to (q0, q1, q2)
+    @pytest.mark.parametrize("side_a, order", [((1,), (1, 0, 2)), ((2,), (1, 2, 0))])
+    def test_rows_match_per_state_reference(self, side_a, order):
+        cut = Bipartition.from_subset(3, side_a)
+        panel = validity_panel(cut, 11, 40)
+        assert panel.shape == (8 + 40, 8)
+        assert panel[:8].tobytes() == np.eye(8, dtype=complex).tobytes()
+        for j in range(40):
+            a = random_pure_state(1, 11, 101, j).amplitudes
+            b = random_pure_state(2, 11, 102, j).amplitudes
+            want = permute_qubits(np.kron(a, b), order)
+            assert panel[8 + j].tobytes() == want.tobytes()
+            for q in np.ndindex(2, 2, 2):
+                qa = q[cut.subset_a[0]]
+                qb = 2 * q[cut.subset_b[0]] + q[cut.subset_b[1]]
+                assert abs(panel[8 + j][q[0] * 4 + q[1] * 2 + q[2]] - a[qa] * b[qb]) < 1e-15
 
 
 class TestVerifyL3:
@@ -327,6 +352,32 @@ class TestVerifyL4:
         with pytest.raises(ValueError):
             verify_L4(phi, merlin_L4_honest(phi), 0)
 
+    def test_probe_overlaps_match_per_probe_reference(self):
+        circuit = parse_circuit_text("qubits 3\nH q0\nX q1\nCSWAP q2 | q0 | q1\nH q1\n")
+        phi = random_pure_state(3, 41)
+        got = probe_overlaps(phi, circuit, 5, 12)
+        assert got.shape == (12, 3)
+        phi_rho = phi.density()
+        for i in range(12):
+            xi = random_pure_state(3, 5, i)
+            xo = evolve_pure(circuit, xi)
+            want = (overlap(phi_rho, xi.density()), overlap(phi_rho, xo.density()),
+                    overlap(xo.density(), xi.density()))
+            assert np.max(np.abs(got[i] - want)) < 1e-12
+        v = verify_L4(phi, Certificate.circuit_description(circuit), probes=12, seed=5)
+        for row in v.transcript:
+            assert [row["O1"], row["O2"], row["O3"]] == got[row["probe"]].tolist()
+
+    def test_exact_mode_builds_no_unitary(self, monkeypatch):
+        def refuse(c):
+            raise AssertionError("circuit_unitary called")
+        monkeypatch.setattr(circuits, "circuit_unitary", refuse)
+        monkeypatch.setattr(protocols, "circuit_unitary", refuse)
+        for n in (3, 8):
+            phi = random_pure_state(n, 42)
+            assert verify_L4(phi, merlin_L4_honest(phi), probes=4, seed=1).accepted
+            assert verify_L5(phi, merlin_L4_honest(phi), probes=4, seed=1).accepted
+
     def test_sampled_honest_accepts(self):
         phi = random_pure_state(2, 99)
         v = verify_L4(phi, merlin_L4_honest(phi), probes=4, seed=6, shots=40_000)
@@ -419,6 +470,14 @@ class TestVerifyL5:
         v = verify_L5(phi, cert, probes=8, seed=2)
         assert not v.accepted
         assert not any(t.get("phase", "").startswith("checker") for t in v.transcript)
+
+    def test_orthogonal_probes_match_per_probe_reference(self):
+        for n in (1, 3):
+            phi = random_pure_state(n, 303)
+            got = protocols._orthogonal_probes(phi, 4, 10)
+            for j in range(10):
+                want = random_orthogonal_state(phi, 4, 20, j).amplitudes
+                assert np.max(np.abs(got[j] - want)) < 1e-12
 
     def test_sampled_honest(self):
         phi = random_pure_state(1, 302)

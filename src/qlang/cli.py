@@ -12,6 +12,7 @@ import argparse
 import json
 import os
 import sys
+from pathlib import Path
 
 from .errors import (
     CertificateError,
@@ -153,7 +154,7 @@ def _cmd_bridge(args) -> int:
 
 def _cmd_sweep(args) -> int:
     try:
-        raw = json.loads(open(args.config).read())
+        raw = json.loads(Path(args.config).read_text())
     except (OSError, json.JSONDecodeError) as exc:
         raise FormatError(f"{args.config}: {exc}") from exc
     if "base" in raw:

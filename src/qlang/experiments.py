@@ -59,9 +59,18 @@ class ExperimentConfig:
     prefix: int | None = None
     cut: tuple | None = None
 
+    _TYPES = {"instance": dict, "certificate": (dict, type(None)), "repetitions": int,
+              "shots": (int, type(None)), "trials": int, "master_seed": int,
+              "epsilon": (int, float), "prefix": (int, type(None)),
+              "cut": (list, tuple, type(None))}
+
     def __post_init__(self):
         if self.protocol not in ("L1", "L2", "L3", "L4", "L5"):
             raise ValueError(f"unknown protocol {self.protocol!r}")
+        for name, types in self._TYPES.items():
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, types):
+                raise ValueError(f"config field {name!r} has the wrong type: {value!r}")
         if self.trials < 1:
             raise ValueError("trials must be >= 1")
         if self.cut is not None:
@@ -83,6 +92,8 @@ class ExperimentConfig:
 
     @classmethod
     def from_dict(cls, d: dict) -> "ExperimentConfig":
+        if not isinstance(d, dict):
+            raise FormatError("config must be a JSON object")
         known = {f for f in cls.__dataclass_fields__}
         extra = set(d) - known
         if extra:
@@ -118,6 +129,12 @@ class ExperimentRecord:
 # instance and certificate sources
 
 
+def _required(spec: dict, key: str, what: str):
+    if key not in spec:
+        raise FormatError(f"{what} spec needs {key!r}")
+    return spec[key]
+
+
 def make_instance(spec: dict, seed: int, trial: int):
     """Instantiate a state from a generator or file spec.
 
@@ -128,8 +145,8 @@ def make_instance(spec: dict, seed: int, trial: int):
     if kind == "file":
         from .files import load_state
 
-        return load_state(spec["path"])
-    name = spec["name"]
+        return load_state(_required(spec, "path", "instance"))
+    name = _required(spec, "name", "instance")
     n = int(spec.get("n", 2))
     if name == "bell":
         return bell_state()
@@ -145,7 +162,7 @@ def make_instance(spec: dict, seed: int, trial: int):
     if name == "random_pure":
         return random_pure_state(n, seed, 31, trial)
     if name == "werner":
-        return werner_state(float(spec["p"]))
+        return werner_state(float(_required(spec, "p", "werner instance")))
     raise FormatError(f"unknown instance generator {name!r}")
 
 
@@ -153,7 +170,7 @@ def make_certificate(spec: dict | None, cfg: ExperimentConfig, instance,
                      seed: int) -> Certificate | None:
     if spec is None:
         return None
-    kind = spec["type"]
+    kind = _required(spec, "type", "certificate")
     if kind == "honest":
         if cfg.protocol == "L2":
             return merlin_L2_honest(instance)
@@ -164,14 +181,15 @@ def make_certificate(spec: dict | None, cfg: ExperimentConfig, instance,
             return MerlinStrategy("honest").certificate(instance, seed)
         raise FormatError(f"no honest certificate for {cfg.protocol}")
     if kind == "cheat":
-        strategy = MerlinStrategy(spec["variant"], dict(spec.get("params", {})))
+        strategy = MerlinStrategy(_required(spec, "variant", "cheat certificate"),
+                                  dict(spec.get("params", {})))
         return strategy.certificate(instance, seed)
     if kind == "subset":
-        return Certificate.subset_string(spec["bits"])
+        return Certificate.subset_string(_required(spec, "bits", "subset certificate"))
     if kind == "file":
         from .files import load_certificate
 
-        return load_certificate(spec["path"])
+        return load_certificate(_required(spec, "path", "certificate"))
     raise FormatError(f"unknown certificate source {kind!r}")
 
 
@@ -280,11 +298,13 @@ def sweep(base: ExperimentConfig, grid: dict, workers: int = 1) -> list:
     ``grid`` maps config field names (repetitions, shots, epsilon, trials,
     prefix) to value lists; cells are the cartesian product in key order.
     """
-    if not grid:
-        raise ValueError("grid must be nonempty")
-    for key in grid:
+    if not isinstance(grid, dict) or not grid:
+        raise ValueError("grid must be a nonempty mapping")
+    for key, values in grid.items():
         if key not in _SWEEPABLE:
             raise ValueError(f"cannot sweep over {key!r}; choose from {_SWEEPABLE}")
+        if not isinstance(values, list):
+            raise ValueError(f"grid values for {key!r} must be a list, got {values!r}")
     keys = list(grid)
     cells = list(itertools.product(*(grid[k] for k in keys)))
     if len(cells) > MAX_SWEEP_CELLS:

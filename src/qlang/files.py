@@ -45,6 +45,8 @@ def state_to_dict(state) -> dict:
 
 
 def state_from_dict(d: dict, where: str = "state"):
+    if not isinstance(d, dict) or not isinstance(d.get("data"), list):
+        raise FormatError(f"{where}: expected a JSON object with a 'data' list")
     if d.get("format") != STATE_FORMAT_VERSION:
         raise FormatError(f"{where}: unsupported format version {d.get('format')!r}")
     kind = d.get("kind")

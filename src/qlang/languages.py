@@ -14,15 +14,13 @@ import itertools
 from dataclasses import dataclass, field
 
 from .errors import ResourceLimitError
-from .circuits import Circuit, evolve_pure
+from .circuits import Circuit, evolve_pure, subset_extract
 from .states import (
     Bipartition,
     DensityOperator,
     PureState,
     basis_state,
     is_separable_oracle,
-    partial_trace,
-    permute_qubits,
     purity,
     schmidt_spectrum,
 )
@@ -76,7 +74,7 @@ def member_L1(phi: PureState, f_n: int) -> Membership:
         raise ValueError(f"prefix length {f_n} outside 1..{phi.n}")
     if f_n == phi.n:
         return Membership(True, 0.0)
-    p = purity(partial_trace(phi.density(), range(f_n)))
+    p = purity(subset_extract(phi, "1" * f_n + "0" * (phi.n - f_n)))
     return Membership(p >= 1.0 - PURITY_MEMBER_ATOL, max(0.0, 1.0 - p))
 
 
@@ -120,35 +118,11 @@ def member_L3(rho: DensityOperator, cut: Bipartition) -> Membership:
     return Membership(not verdict.separable, verdict.margin)
 
 
-def _is_fully_product(phi: PureState) -> bool:
-    if phi.n == 1:
-        return True
-    for cut in _proper_cuts(phi.n):
-        spec = schmidt_spectrum(phi, cut)
-        if spec.rank != 1:
-            continue
-        a, b = _split_factors(phi, cut)
-        if _is_fully_product(a) and _is_fully_product(b):
-            return True
-    return False
-
-
-def _split_factors(phi: PureState, cut: Bipartition):
-    """Pure factors of a state with Schmidt rank 1 across ``cut``."""
-    import numpy as np
-
-    mat = permute_qubits(phi.amplitudes, cut.subset_a + cut.subset_b)
-    u, s, vh = np.linalg.svd(mat.reshape(1 << len(cut.subset_a), -1))
-    a = PureState(len(cut.subset_a), u[:, 0] / np.linalg.norm(u[:, 0]))
-    b = PureState(len(cut.subset_b), vh[0] / np.linalg.norm(vh[0]))
-    return a, b
-
-
 def member_L3_classical(circuit_text: str, unitary_loader=None) -> bool:
     """Does the described circuit map |0...0> to an entangled state?
 
     Entangled means not expressible as a full tensor product of
-    single-qubit states, decided by recursive product-cut search.
+    single-qubit states, decided by :func:`circuit_output_entangled`.
     """
     from .circuits import parse_circuit_text
 
@@ -157,12 +131,13 @@ def member_L3_classical(circuit_text: str, unitary_loader=None) -> bool:
 
 
 def circuit_output_entangled(c: Circuit) -> bool:
+    """A pure state is a full product iff every single-qubit cut has
+    Schmidt rank 1."""
     if c.n > L2_MAX_QUBITS:
         raise ResourceLimitError(f"cut search supports at most {L2_MAX_QUBITS} qubits")
     out = evolve_pure(c, basis_state(c.n, 0))
-    if c.n == 1:
-        return False
-    return not _is_fully_product(out)
+    return c.n > 1 and any(
+        schmidt_spectrum(out, Bipartition.from_subset(c.n, [q])).rank != 1 for q in range(c.n))
 
 
 def classify(lang: LanguageId, state, epsilon: float,

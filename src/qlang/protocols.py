@@ -5,12 +5,13 @@ count, seed) and runs in two modes, exact (``shots=None``) and sampled.
 The modes differ only inside :class:`Estimator`, which each verifier builds
 from its ``shots`` argument.  L3-L5 take their swap-test and checker
 distributions from closed forms on whole batches: the L3 validity panel is
-one amplitude array scored with one ``einsum``, and the L4/L5 probes are one
-block that the certificate's gates act on together.  Random states and shot
-draws come from :func:`qlang.rng.streams`, which derives a batch of streams
-at once and draws exactly what :func:`qlang.rng.make_rng` would.  The
-gate-level circuits in :mod:`qlang.circuits` are the reference these
-kernels are tested against.
+one amplitude array scored against every witness state with one batched
+matrix product, and the L4/L5 probes are one block that the certificate's
+gates act on together.  Random states and shot draws come from
+:func:`qlang.rng.streams`, which derives a batch of streams at once and
+draws exactly what :func:`qlang.rng.make_rng` would.  The gate-level
+circuits in :mod:`qlang.circuits` are the reference these kernels are
+tested against.
 """
 
 from __future__ import annotations
@@ -46,7 +47,6 @@ from .states import (
     PureState,
     decompose_hermitian,
     overlap,
-    partial_trace,
     partial_transpose,
     permute_qubits,
     random_pure_state,
@@ -135,6 +135,10 @@ class Estimator:
 
     shots: int | None
 
+    def __post_init__(self):
+        if self.shots is not None and self.shots < 1:
+            raise ValueError("shots must be >= 1")
+
     def draws(self, p0s, seed: int, keys) -> Iterator[np.ndarray]:
         """Per-shot 'outcome 0' events of each sampled test, in order."""
         for p0, rng in zip(p0s, streams(seed, keys)):
@@ -215,7 +219,8 @@ def verify_L1(phi: PureState, f_n: int, repetitions: int, seed: int = 0,
         raise ValueError("repetition count must be >= 1")
     if not 1 <= f_n <= phi.n:
         raise ValueError(f"prefix length {f_n} outside 1..{phi.n}")
-    rho = phi.density() if f_n == phi.n else partial_trace(phi.density(), range(f_n))
+    prefix = "1" * f_n + "0" * (phi.n - f_n)
+    rho = phi.density() if f_n == phi.n else subset_extract(phi, prefix)
     return _purity_protocol(rho, repetitions, seed, shots, copies_per_run=2)
 
 

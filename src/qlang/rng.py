@@ -7,10 +7,12 @@ derived with a counter-based Philox generator keyed by
 execution of independent sub-tasks draw from identical streams.
 
 :func:`make_rng` builds one such generator.  :func:`streams` yields the
-same generators for a whole batch of stream tuples: it derives every
-Philox key at once with a vectorized copy of ``SeedSequence``'s entropy
-mix and re-keys a single Philox per stream, which costs a few microseconds
-instead of a fresh ``SeedSequence`` and ``Philox`` each.
+same generators for a whole batch of stream tuples: it takes the seed's
+entropy pool from numpy's ``SeedSequence(seed)`` once, mixes in every
+stream's words and hashes out every Philox key at once with a vectorized
+copy of only those two steps, and re-keys a single Philox per stream,
+which costs a few microseconds instead of a fresh ``SeedSequence`` and
+``Philox`` each.
 """
 
 from __future__ import annotations
@@ -39,18 +41,6 @@ def derive_seed(seed: int, *stream: int) -> int:
     return int(ss.generate_state(1, np.uint64)[0])
 
 
-def _int_words(n: int) -> list:
-    """Little-endian 32-bit words of a nonnegative integer, as SeedSequence
-    splits its entropy ([0] for zero)."""
-    if n < 0:
-        raise ValueError("expected a nonnegative seed")
-    words = [n & _MASK32]
-    while n > _MASK32:
-        n >>= 32
-        words.append(n & _MASK32)
-    return words
-
-
 def _hash_constants(init: int, mult: int, count: int):
     """XOR and multiplier constants of ``count`` successive hashes: hash k
     XORs with c_k and multiplies by c_(k+1), c_(k+1) = c_k * mult."""
@@ -76,52 +66,26 @@ def philox_keys(seed: int, keys) -> np.ndarray:
     ``SeedSequence(entropy=seed, spawn_key=k)`` for each tuple ``k`` of
     ``keys``; every tuple has the same length and entries in [0, 2^64).
 
-    The entropy mix runs on all keys at once, word by word.  Its hash
-    constants depend only on the word position, so a key with fewer words
-    (entries below 2^32 take one word, larger ones two) skips the trailing
-    steps.
+    A spawn key only appends words after the seed's, which are zero-padded
+    to the pool size, so the pool before the first stream word is
+    ``SeedSequence(seed).pool`` for the whole batch.  Only the stream words'
+    mix and the output hash run here, on all keys at once; a key with an
+    entry of two 32-bit words (>= 2^32) is derived by numpy itself.
     """
-    spawn = np.asarray(keys, dtype=np.uint64).reshape(len(keys), -1).T
-    depth, batch = spawn.shape
-    run = _int_words(seed)
-    if depth:  # SeedSequence zero-pads the run entropy only under a spawn key
-        run += [0] * (_POOL_SIZE - len(run))
-    words = spawn.astype(np.uint32)
-    valid = np.ones(words.shape, dtype=bool)
-    hi = (spawn >> np.uint64(32)).astype(np.uint32)
-    if hi.any():  # interleave the high words, then pack each key's words first
-        words = np.stack([words, hi], axis=1).reshape(2 * depth, batch)
-        valid = np.stack([valid, hi != 0], axis=1).reshape(2 * depth, batch)
-        order = np.argsort(~valid, axis=0, kind="stable")
-        words = np.take_along_axis(words, order, axis=0)
-        valid = np.take_along_axis(valid, order, axis=0)
-    width = max(len(run) + len(words), _POOL_SIZE)
-    entropy = np.zeros((width, batch), dtype=np.uint32)
-    entropy[:len(run)] = np.array(run, dtype=np.uint32)[:, None]
-    entropy[len(run):len(run) + len(words)] = words
-    tail = np.zeros((width, batch), dtype=bool)
-    tail[len(run):len(run) + len(words)] = valid
-    tail[:len(run)] = True
-
-    side = _POOL_SIZE - 1
-    xor, mult = _hash_constants(
-        _INIT_A, _MULT_A, _POOL_SIZE * (1 + side) + _POOL_SIZE * (width - _POOL_SIZE))
-    pool = _hash(entropy[:_POOL_SIZE], xor[:_POOL_SIZE], mult[:_POOL_SIZE])
-    k = _POOL_SIZE
-    # every word mixes into the other pool words; hashes of one source
-    # word are independent, so they run as one (side, batch) step
-    for src in range(_POOL_SIZE):
-        dst = [d for d in range(_POOL_SIZE) if d != src]
-        pool[dst] = _mix(pool[dst], _hash(pool[src], xor[k:k + side], mult[k:k + side]))
-        k += side
-    for src in range(_POOL_SIZE, width):
-        mixed = _mix(pool, _hash(entropy[src], xor[k:k + _POOL_SIZE], mult[k:k + _POOL_SIZE]))
-        pool = np.where(tail[src], mixed, pool)
-        k += _POOL_SIZE
-
+    spawn = np.asarray(keys, dtype=np.uint64).reshape(len(keys), -1)
+    pool = np.repeat(np.random.SeedSequence(seed).pool[:, None], len(keys), axis=1)
+    # hashes so far: 4 per seed word, the seed padded to the pool size
+    start = _POOL_SIZE * max(_POOL_SIZE, (max(int(seed).bit_length(), 1) + 31) // 32)
+    xor, mult = _hash_constants(_INIT_A, _MULT_A, start + _POOL_SIZE * spawn.shape[1])
+    for d, words in enumerate(spawn.T.astype(np.uint32)):
+        k = start + _POOL_SIZE * d
+        pool = _mix(pool, _hash(words, xor[k:k + _POOL_SIZE], mult[k:k + _POOL_SIZE]))
     xor, mult = _hash_constants(_INIT_B, _MULT_B, _POOL_SIZE)
-    state = _hash(pool, xor, mult).T.copy()
-    return state.astype("<u4").view("<u8").astype(np.uint64)
+    state = _hash(pool, xor, mult).T.astype("<u4", order="C").view("<u8").astype(np.uint64)
+    for i in np.flatnonzero((spawn >> np.uint64(32)).any(axis=1)):
+        ss = np.random.SeedSequence(seed, spawn_key=tuple(spawn[i].tolist()))
+        state[i] = ss.generate_state(2, np.uint64)
+    return state
 
 
 def streams(seed: int, keys) -> Iterator[np.random.Generator]:

@@ -249,6 +249,41 @@ class TestCliExitCodes:
                      "--prefix", "1", "--reps", "5"]) == 2
         assert "error:" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command", [["purity", "--prefix", "1", "--reps", "3"],
+                                         ["witness", "--honest"],
+                                         ["reflect", "--honest", "--probes", "3"]])
+    def test_nonpositive_shots_is_2(self, command, bell_file, capsys):
+        argv = command[:1] + ["--state", bell_file] + command[1:]
+        for shots in ("0", "-5"):
+            assert main(argv + ["--shots", shots]) == 2
+            assert "error: shots must be >= 1" in capsys.readouterr().err
+
+    MALFORMED = {
+        "state is not an object": ("state", [1]),
+        "state without data": ("state", {"format": 1, "kind": "pure", "n": 1}),
+        "instance is not an object": ("sweep", {"protocol": "L1", "instance": "bell"}),
+        "trials is a string": ("sweep", {"protocol": "L1", "instance": {"name": "bell"},
+                                         "trials": "2"}),
+        "grid value is not a list": ("sweep", {"base": {"protocol": "L1",
+                                                        "instance": {"name": "bell"}},
+                                               "grid": {"shots": 5}}),
+        "cheat without variant": ("sweep", {"protocol": "L4", "instance": {"name": "bell"},
+                                            "certificate": {"type": "cheat"}}),
+    }
+
+    @pytest.mark.parametrize("case", list(MALFORMED))
+    def test_malformed_input_is_2(self, case, tmp_path, capsys):
+        kind, payload = self.MALFORMED[case]
+        p = tmp_path / "input.json"
+        p.write_text(json.dumps(payload))
+        if kind == "state":
+            argv = ["purity", "--state", str(p), "--prefix", "1", "--reps", "3"]
+        else:
+            argv = ["sweep", "--config", str(p), "--out", str(tmp_path / "out")]
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "Traceback" not in err
+
     def test_missing_cert_source_is_2(self, bell_file):
         assert main(["separable", "--state", bell_file, "--reps", "5"]) == 2
 

@@ -87,6 +87,17 @@ class TestMemberL1:
         with pytest.raises(ValueError):
             member_L1(bell_state(), 3)
 
+    def test_prefix_state_comes_from_amplitudes(self, monkeypatch):
+        phi = random_pure_state(4, 6)
+        want = 1 - purity(partial_trace(phi.density(), [0]))
+
+        def refuse(self):
+            raise AssertionError("full density matrix built")
+        monkeypatch.setattr(PureState, "density", refuse)
+        res = member_L1(phi, 1)
+        assert not res.member and res.margin == pytest.approx(want, abs=1e-12)
+        assert member_L1(random_pure_state(14, 6), 1).margin > 0.4
+
 
 class TestMemberL2:
     def test_zero_tensor_bell(self):

@@ -99,6 +99,21 @@ class TestEstimator:
             assert next(Estimator(1000).probs([p0], int(bit), 7, [(21, 3)])) == ref
             assert next(Estimator(None).probs([p0], int(bit), 7, [(21, 3)])) == dist[int(bit)]
 
+    @pytest.mark.parametrize("shots", [0, -1])
+    @pytest.mark.parametrize("protocol", ["L1", "L2", "L3", "L4", "L5"])
+    def test_shots_below_one_rejected(self, protocol, shots):
+        phi = bell_state()
+        run = {
+            "L1": lambda: verify_L1(phi, 1, 3, shots=shots),
+            "L2": lambda: verify_L2(phi, Certificate.subset_string("10"), 3, shots=shots),
+            "L3": lambda: verify_L3(phi.density(), merlin_L3_honest(phi.density(), BELL_CUT),
+                                    shots=shots, panel_random=4),
+            "L4": lambda: verify_L4(phi, merlin_L4_honest(phi), 3, shots=shots),
+            "L5": lambda: verify_L5(phi, merlin_L4_honest(phi), 3, shots=shots),
+        }[protocol]
+        with pytest.raises(ValueError, match="shots must be >= 1"):
+            run()
+
 
 class TestVerifyL1:
     def test_product_prefix_accepts_with_probability_one(self):
@@ -122,6 +137,23 @@ class TestVerifyL1:
     def test_zero_repetitions_disallowed(self):
         with pytest.raises(ValueError):
             verify_L1(bell_state(), 1, 0)
+
+    def test_prefix_state_comes_from_amplitudes(self, monkeypatch):
+        from qlang.states import partial_trace, purity
+        phi = random_pure_state(4, 8)
+        p = purity(partial_trace(phi.density(), [0, 1]))
+
+        density = PureState.density
+
+        def refuse(self):  # the swap test's control qubit may still build |0><0|
+            assert self.n == 1, "full density matrix built"
+            return density(self)
+        monkeypatch.setattr(PureState, "density", refuse)
+        v = verify_L1(phi, 2, 3)
+        assert v.exact_accept_prob == pytest.approx(((p + 1) / 2) ** 3, abs=1e-12)
+        # 14 qubits: the full density matrix would take 4 GiB
+        v = verify_L1(random_pure_state(14, 8), 1, 4)
+        assert not v.accepted and v.transcript[0]["p0_exact"] == pytest.approx(0.75, abs=0.01)
 
     def test_copies_budget(self):
         v = verify_L1(random_pure_state(2, 0), 1, 7)

@@ -1,12 +1,15 @@
 """Pin of the batched stream derivation against numpy.
 
-``rng.streams`` re-implements ``SeedSequence``'s entropy mix in vectorized
-numpy and re-keys one Philox per stream.  It is a copy of numpy's
-algorithm, not a call into it, so a numpy release that changes
-``SeedSequence`` or the Philox state layout must fail here.  If it does,
-the fallback is ``make_rng``: derive each stream with
-``make_rng(seed, *key)`` inside ``streams``, which is the reference these
-tests compare against and draws the same numbers by definition.
+``rng.streams`` takes the seed's entropy pool from numpy's
+``SeedSequence(seed)``, then mixes in the stream words and hashes out the
+Philox keys with a vectorized copy of those two steps of numpy's
+algorithm, and re-keys one Philox per stream.  That copy is not a call
+into numpy, so a numpy release that changes ``SeedSequence`` or the Philox
+state layout must fail here.  If it does, the fallback is ``make_rng``:
+derive each stream with ``make_rng(seed, *key)`` inside ``streams``, which
+is the reference these tests compare against and draws the same numbers by
+definition.  ``2**200 + 7`` is longer than the four-word pool, so the hash
+constants of its stream words start past the seed's own words.
 """
 
 import numpy as np
@@ -14,7 +17,7 @@ import pytest
 
 from qlang.rng import make_rng, philox_keys, streams
 
-SEEDS = (0, 5, 2**32 - 1, 2**32, 2**40 + 3, 2**64 - 1)
+SEEDS = (0, 5, 2**32 - 1, 2**32, 2**40 + 3, 2**64 - 1, 2**200 + 7)
 
 
 def _random_keys(gen, count, depth):

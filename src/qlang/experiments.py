@@ -74,7 +74,8 @@ class ExperimentConfig:
         if self.trials < 1:
             raise ValueError("trials must be >= 1")
         if self.cut is not None:
-            object.__setattr__(self, "cut", tuple(int(q) for q in self.cut))
+            cut = tuple(_convert(int, q, "cut entry") for q in self.cut)
+            object.__setattr__(self, "cut", cut)
 
     def to_dict(self) -> dict:
         return {
@@ -135,6 +136,14 @@ def _required(spec: dict, key: str, what: str):
     return spec[key]
 
 
+def _convert(kind, value, what: str):
+    """``kind(value)``, with a config value of the wrong type as a FormatError."""
+    try:
+        return kind(value)
+    except (TypeError, ValueError) as exc:
+        raise FormatError(f"{what} has the wrong type: {value!r}") from exc
+
+
 def make_instance(spec: dict, seed: int, trial: int):
     """Instantiate a state from a generator or file spec.
 
@@ -147,7 +156,7 @@ def make_instance(spec: dict, seed: int, trial: int):
 
         return load_state(_required(spec, "path", "instance"))
     name = _required(spec, "name", "instance")
-    n = int(spec.get("n", 2))
+    n = _convert(int, spec.get("n", 2), "instance 'n'")
     if name == "bell":
         return bell_state()
     if name == "ghz":
@@ -162,7 +171,8 @@ def make_instance(spec: dict, seed: int, trial: int):
     if name == "random_pure":
         return random_pure_state(n, seed, 31, trial)
     if name == "werner":
-        return werner_state(float(_required(spec, "p", "werner instance")))
+        return werner_state(_convert(float, _required(spec, "p", "werner instance"),
+                                     "werner instance 'p'"))
     raise FormatError(f"unknown instance generator {name!r}")
 
 
@@ -182,7 +192,8 @@ def make_certificate(spec: dict | None, cfg: ExperimentConfig, instance,
         raise FormatError(f"no honest certificate for {cfg.protocol}")
     if kind == "cheat":
         strategy = MerlinStrategy(_required(spec, "variant", "cheat certificate"),
-                                  dict(spec.get("params", {})))
+                                  _convert(dict, spec.get("params", {}),
+                                           "cheat certificate 'params'"))
         return strategy.certificate(instance, seed)
     if kind == "subset":
         return Certificate.subset_string(_required(spec, "bits", "subset certificate"))

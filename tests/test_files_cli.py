@@ -269,6 +269,17 @@ class TestCliExitCodes:
                                                "grid": {"shots": 5}}),
         "cheat without variant": ("sweep", {"protocol": "L4", "instance": {"name": "bell"},
                                             "certificate": {"type": "cheat"}}),
+        "cheat params is a list": ("sweep", {"protocol": "L4", "instance": {"name": "bell"},
+                                             "certificate": {"type": "cheat",
+                                                             "variant": "identity",
+                                                             "params": [1]}}),
+        "instance n is a list": ("sweep", {"protocol": "L1",
+                                           "instance": {"name": "ghz", "n": [1]}}),
+        "werner p is a list": ("sweep", {"protocol": "L3",
+                                         "instance": {"name": "werner", "p": [1]},
+                                         "certificate": {"type": "honest"}}),
+        "cut entry is a list": ("sweep", {"protocol": "L3", "instance": {"name": "bell"},
+                                          "certificate": {"type": "honest"}, "cut": [[1]]}),
     }
 
     @pytest.mark.parametrize("case", list(MALFORMED))

@@ -21,6 +21,7 @@ from qlang.states import (
     purity,
     random_density,
     random_pure_state,
+    random_pure_states,
     schmidt_spectrum,
     tensor,
     tensor_states,
@@ -209,6 +210,18 @@ class TestRandomStates:
                          for t in range(trials)])
         se = np.sqrt((d - 1) / (d * d * (d + 1)) / trials)
         assert abs(vals.mean() - 1 / d) < 5 * se
+
+    @pytest.mark.parametrize("seed", [0, 5, 2**32, 2**40 + 3])
+    def test_batch_is_bit_identical_to_single_draws(self, seed):
+        # the batched norm must sum in the same order as np.linalg.norm; a
+        # norm over the contiguous real/imaginary blocks differs by an ulp
+        # on hundreds of rows at every n >= 2
+        gen = np.random.default_rng(seed % 1000)
+        for n in range(1, 9):
+            for depth in (1, 2, 3):
+                keys = [tuple(k) for k in gen.integers(0, 1000, size=(100, depth)).tolist()]
+                want = np.stack([random_pure_state(n, seed, *k).amplitudes for k in keys])
+                assert np.array_equal(random_pure_states(n, seed, keys), want)
 
 
 class TestSeparabilityOracle:

@@ -4,6 +4,12 @@ Machine-readable JSON goes to stdout; one-line human summaries go to
 stderr so pipelines stay clean.  Exit codes: 0 = accepted / succeeded,
 1 = protocol rejected, 2 = usage or format error, 3 = resource or
 unsupported-oracle error, including running out of memory.
+
+The five verifier subcommands share one handler: purity, separable,
+witness, reflect and check name the protocols L1-L5, and
+:func:`qlang.protocols.protocol_instance`, :func:`~qlang.protocols.honest_certificate`
+and :func:`~qlang.protocols.run_protocol` decide the instance form, the
+honest certificate and the verifier call, as they do for ``sweep``.
 """
 
 from __future__ import annotations
@@ -26,16 +32,12 @@ from .experiments import ExperimentConfig, run_experiment, sweep
 from .languages import LanguageId, classify, circuit_output_entangled
 from .protocols import (
     MerlinStrategy,
-    merlin_L2_honest,
-    merlin_L3_honest,
+    honest_certificate,
+    protocol_instance,
     required_repetitions,
-    verify_L1,
-    verify_L2,
-    verify_L3,
-    verify_L4,
-    verify_L5,
+    run_protocol,
 )
-from .states import Bipartition, DensityOperator, PureState
+from .states import Bipartition
 
 
 def _emit(payload: dict, summary: str) -> None:
@@ -43,100 +45,47 @@ def _emit(payload: dict, summary: str) -> None:
     print(summary, file=sys.stderr)
 
 
-def _load_pure(path) -> PureState:
-    state = files.load_state(path)
-    if not isinstance(state, PureState):
-        raise FormatError(f"{path}: expected a pure state")
-    return state
-
-
-def _as_density(state) -> DensityOperator:
-    return state if isinstance(state, DensityOperator) else state.density()
-
-
-def _parse_cut(text: str | None, n: int) -> Bipartition:
+def _parse_cut(text: str | None) -> list:
+    """Side-A qubit indices of a --cut value, qubit 0 alone by default."""
     if text is None:
-        return Bipartition.from_subset(n, [0])
+        return [0]
     try:
-        subset = [int(t) for t in text.split(",") if t.strip()]
+        return [int(t) for t in text.split(",") if t.strip()]
     except ValueError as exc:
         raise FormatError(f"bad --cut value {text!r}") from exc
-    return Bipartition.from_subset(n, subset)
-
-
-def _verdict_exit(verdict) -> int:
-    _emit(verdict.as_dict(),
-          "accepted" if verdict.accepted else
-          f"rejected (exact accept prob {verdict.exact_accept_prob:.6g})")
-    return 0 if verdict.accepted else 1
 
 
 # ---------------------------------------------------------------------------
 # subcommand handlers
 
 
-def _cmd_purity(args) -> int:
-    phi = _load_pure(args.state)
-    return _verdict_exit(verify_L1(phi, args.prefix, args.reps, args.seed, args.shots))
-
-
-def _cmd_separable(args) -> int:
-    phi = _load_pure(args.state)
-    if args.honest:
-        cert = merlin_L2_honest(phi)
-    elif args.cert:
-        cert = files.load_certificate(args.cert)
-    else:
-        raise FormatError("separable needs --cert or --honest")
-    return _verdict_exit(verify_L2(phi, cert, args.reps, args.seed, args.shots))
-
-
-def _cmd_witness(args) -> int:
-    rho = _as_density(files.load_state(args.state))
-    cut = _parse_cut(args.cut, rho.n)
-    if args.honest:
-        cert = merlin_L3_honest(rho, cut)
-    elif args.cert:
-        cert = files.load_certificate(args.cert)
-    else:
-        raise FormatError("witness needs --cert or --honest")
-    return _verdict_exit(verify_L3(rho, cert, args.shots, args.seed, cut,
-                                   panel_random=args.panel))
-
-
-def _reflection_cert(args, phi: PureState):
+def _cmd_verify(args) -> int:
+    """purity, separable, witness, reflect and check: ``args.protocol`` on the
+    --state file, with the certificate from --cheat, --honest or --cert."""
+    instance = protocol_instance(args.protocol, files.load_state(args.state))
+    cut = _parse_cut(args.cut)
     if args.cheat:
-        return MerlinStrategy(args.cheat).certificate(phi, args.seed)
-    if args.honest:
-        return MerlinStrategy("honest").certificate(phi, args.seed)
-    if args.cert:
-        return files.load_certificate(args.cert)
-    raise FormatError("needs --cert, --honest, or --cheat VARIANT")
-
-
-def _cmd_reflect(args) -> int:
-    phi = _load_pure(args.state)
-    cert = _reflection_cert(args, phi)
-    return _verdict_exit(verify_L4(phi, cert, args.probes, args.seed, args.shots))
-
-
-def _cmd_check(args) -> int:
-    phi = _load_pure(args.state)
-    cert = _reflection_cert(args, phi)
-    return _verdict_exit(verify_L5(phi, cert, args.probes, args.seed, args.shots))
+        cert = MerlinStrategy(args.cheat).certificate(instance, args.seed)
+    elif args.honest:
+        cert = honest_certificate(args.protocol, instance, cut)
+    else:
+        cert = files.load_certificate(args.cert) if args.cert else None
+    verdict = run_protocol(args.protocol, instance, cert, args.reps, args.seed, args.shots,
+                           cut, args.prefix, args.panel)
+    _emit(verdict.as_dict(),
+          "accepted" if verdict.accepted else
+          f"rejected (exact accept prob {verdict.exact_accept_prob:.6g})")
+    return 0 if verdict.accepted else 1
 
 
 def _cmd_oracle(args) -> int:
-    state = files.load_state(args.state)
+    state = protocol_instance(args.language, files.load_state(args.state))
     params = {}
     if args.language == "L1":
         params["prefix"] = args.prefix if args.prefix is not None else state.n
     lang = LanguageId(args.language, params)
-    cut = _parse_cut(args.cut, state.n) if args.language == "L3" else None
-    if args.language == "L3":
-        state = _as_density(state)
-    elif not isinstance(state, PureState):
-        raise FormatError(f"{args.language} oracle needs a pure state")
+    cut = (Bipartition.from_subset(state.n, _parse_cut(args.cut))
+           if args.language == "L3" else None)
     verdict = classify(lang, state, args.epsilon, cut)
     _emit({"language": args.language, "region": verdict.region,
            "margin": verdict.margin, "epsilon": args.epsilon},
@@ -157,6 +106,8 @@ def _cmd_sweep(args) -> int:
         raw = json.loads(Path(args.config).read_text())
     except (OSError, json.JSONDecodeError) as exc:
         raise FormatError(f"{args.config}: {exc}") from exc
+    if not isinstance(raw, dict):
+        raise FormatError(f"{args.config}: a sweep config must be a JSON object")
     if "base" in raw:
         base = ExperimentConfig.from_dict(raw["base"])
         grid = raw.get("grid", {})
@@ -196,48 +147,40 @@ def build_parser() -> argparse.ArgumentParser:
             p.add_argument("--shots", type=int, default=None,
                            help="sampled mode with this shot budget (default: exact)")
 
-    p = sub.add_parser("purity", help="prefix-purity protocol")
-    p.add_argument("--state", required=True)
+    def verifier(name, protocol, help, certificates=True):
+        p = sub.add_parser(name, help=help)
+        p.add_argument("--state", required=True)
+        if certificates:
+            p.add_argument("--cert")
+            p.add_argument("--honest", action="store_true")
+        p.set_defaults(handler=_cmd_verify, protocol=protocol, cert=None, honest=False,
+                       cheat=None, cut=None, prefix=None, panel=200, reps=1)
+        return p
+
+    p = verifier("purity", "L1", "prefix-purity protocol", certificates=False)
     p.add_argument("--prefix", type=int, required=True)
     p.add_argument("--reps", type=int, required=True)
     common(p)
-    p.set_defaults(handler=_cmd_purity)
 
-    p = sub.add_parser("separable", help="product-bipartition protocol")
-    p.add_argument("--state", required=True)
-    p.add_argument("--cert")
-    p.add_argument("--honest", action="store_true")
+    p = verifier("separable", "L2", "product-bipartition protocol")
     p.add_argument("--reps", type=int, required=True)
     common(p)
-    p.set_defaults(handler=_cmd_separable)
 
-    p = sub.add_parser("witness", help="entanglement-witness protocol")
-    p.add_argument("--state", required=True)
-    p.add_argument("--cert")
-    p.add_argument("--honest", action="store_true")
+    p = verifier("witness", "L3", "entanglement-witness protocol")
     p.add_argument("--cut", help="comma-separated qubit indices of side A")
     p.add_argument("--panel", type=int, default=200,
                    help="random product states in the validity panel")
     common(p)
-    p.set_defaults(handler=_cmd_witness)
 
-    p = sub.add_parser("reflect", help="reflection-operator protocol")
-    p.add_argument("--state", required=True)
-    p.add_argument("--cert")
-    p.add_argument("--honest", action="store_true")
+    p = verifier("reflect", "L4", "reflection-operator protocol")
     p.add_argument("--cheat", help="cheat-library variant name")
-    p.add_argument("--probes", type=int, required=True)
+    p.add_argument("--probes", dest="reps", metavar="PROBES", type=int, required=True)
     common(p)
-    p.set_defaults(handler=_cmd_reflect)
 
-    p = sub.add_parser("check", help="checkable-state protocol")
-    p.add_argument("--state", required=True)
-    p.add_argument("--cert")
-    p.add_argument("--honest", action="store_true")
+    p = verifier("check", "L5", "checkable-state protocol")
     p.add_argument("--cheat")
-    p.add_argument("--probes", type=int, default=8)
+    p.add_argument("--probes", dest="reps", metavar="PROBES", type=int, default=8)
     common(p)
-    p.set_defaults(handler=_cmd_check)
 
     p = sub.add_parser("oracle", help="membership classification")
     p.add_argument("--state", required=True)

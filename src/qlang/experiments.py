@@ -20,18 +20,11 @@ from .protocols import (
     Certificate,
     MerlinStrategy,
     Verdict,
-    merlin_L2_honest,
-    merlin_L3_honest,
-    verify_L1,
-    verify_L2,
-    verify_L3,
-    verify_L4,
-    verify_L5,
+    honest_certificate,
+    protocol_instance,
+    run_protocol,
 )
 from .states import (
-    Bipartition,
-    DensityOperator,
-    PureState,
     basis_state,
     bell_state,
     ghz_state,
@@ -137,8 +130,10 @@ def _required(spec: dict, key: str, what: str):
 
 
 def _convert(kind, value, what: str):
-    """``kind(value)``, with a config value of the wrong type as a FormatError."""
+    """``kind(value)``, with a value of the wrong type, or a boolean, as a FormatError."""
     try:
+        if isinstance(value, bool):
+            raise TypeError
         return kind(value)
     except (TypeError, ValueError) as exc:
         raise FormatError(f"{what} has the wrong type: {value!r}") from exc
@@ -182,14 +177,7 @@ def make_certificate(spec: dict | None, cfg: ExperimentConfig, instance,
         return None
     kind = _required(spec, "type", "certificate")
     if kind == "honest":
-        if cfg.protocol == "L2":
-            return merlin_L2_honest(instance)
-        if cfg.protocol == "L3":
-            rho = instance if isinstance(instance, DensityOperator) else instance.density()
-            return merlin_L3_honest(rho, _cut_of(cfg, rho.n))
-        if cfg.protocol in ("L4", "L5"):
-            return MerlinStrategy("honest").certificate(instance, seed)
-        raise FormatError(f"no honest certificate for {cfg.protocol}")
+        return honest_certificate(cfg.protocol, instance, cfg.cut)
     if kind == "cheat":
         strategy = MerlinStrategy(_required(spec, "variant", "cheat certificate"),
                                   _convert(dict, spec.get("params", {}),
@@ -204,36 +192,17 @@ def make_certificate(spec: dict | None, cfg: ExperimentConfig, instance,
     raise FormatError(f"unknown certificate source {kind!r}")
 
 
-def _cut_of(cfg: ExperimentConfig, n: int) -> Bipartition:
-    subset = cfg.cut if cfg.cut is not None else (0,)
-    return Bipartition.from_subset(n, subset)
-
-
 # ---------------------------------------------------------------------------
 # execution
 
 
 def run_trial(cfg: ExperimentConfig, trial: int, cell_index: int = 0) -> Verdict:
     seed = derive_seed(cfg.master_seed, cell_index, trial)
-    instance = make_instance(cfg.instance, cfg.master_seed, trial)
+    instance = protocol_instance(cfg.protocol,
+                                 make_instance(cfg.instance, cfg.master_seed, trial))
     cert = make_certificate(cfg.certificate, cfg, instance, seed)
-    if cfg.protocol == "L1":
-        f_n = cfg.prefix if cfg.prefix is not None else instance.n
-        return verify_L1(instance, f_n, cfg.repetitions, seed, cfg.shots)
-    if cfg.protocol == "L2":
-        if cert is None:
-            raise FormatError("L2 needs a certificate source")
-        return verify_L2(instance, cert, cfg.repetitions, seed, cfg.shots)
-    if cfg.protocol == "L3":
-        if cert is None:
-            raise FormatError("L3 needs a certificate source")
-        rho = instance if isinstance(instance, DensityOperator) else instance.density()
-        return verify_L3(rho, cert, cfg.shots, seed, _cut_of(cfg, rho.n))
-    if cert is None:
-        raise FormatError(f"{cfg.protocol} needs a certificate source")
-    if cfg.protocol == "L4":
-        return verify_L4(instance, cert, cfg.repetitions, seed, cfg.shots)
-    return verify_L5(instance, cert, cfg.repetitions, seed, cfg.shots)
+    return run_protocol(cfg.protocol, instance, cert, cfg.repetitions, seed, cfg.shots,
+                        cfg.cut, cfg.prefix)
 
 
 def run_experiment(cfg: ExperimentConfig, cell_index: int = 0) -> ExperimentRecord:

@@ -12,6 +12,9 @@ gates act on together.  Random states and shot draws come from
 draws exactly what :func:`qlang.rng.make_rng` would.  The gate-level
 circuits in :mod:`qlang.circuits` are the reference these kernels are
 tested against.
+
+The CLI and the sweep harness share one dispatch from a protocol name to its
+verifier: :func:`protocol_instance`, :func:`honest_certificate`, :func:`run_protocol`.
 """
 
 from __future__ import annotations
@@ -23,7 +26,7 @@ from typing import Iterator
 
 import numpy as np
 
-from .errors import CertificateError, StrategyError
+from .errors import CertificateError, FormatError, StrategyError
 from .rng import make_rng, streams
 from .circuits import (
     Circuit,
@@ -71,7 +74,7 @@ class Certificate:
 
     @classmethod
     def subset_string(cls, bits: str) -> "Certificate":
-        if set(bits) - {"0", "1"}:
+        if not isinstance(bits, str) or set(bits) - {"0", "1"}:
             raise CertificateError(f"subset string must be 0/1, got {bits!r}")
         return cls("subset", subset=bits)
 
@@ -366,21 +369,29 @@ class MerlinStrategy:
     mode: str
     parameters: dict = field(default_factory=dict)
 
+    def _number(self, key: str, default):
+        value = self.parameters.get(key, default)
+        if isinstance(value, bool) or not isinstance(value, (int, float, type(None))):
+            raise StrategyError(f"strategy parameter {key!r} must be a number, got {value!r}")
+        return value
+
     def certificate(self, phi: PureState, seed: int = 0) -> Certificate:
+        if not isinstance(phi, PureState):
+            raise StrategyError(f"strategy {self.mode!r} needs a pure-state instance")
         n, d = phi.n, phi.dim
         if self.mode == "honest":
             return merlin_L4_honest(phi)
         if self.mode == "identity":
             return Certificate.circuit_description(Circuit(n, ()))
         if self.mode == "reflect_other":
-            target = self.parameters.get("overlap", 0.9)
+            target = self._number("overlap", 0.9)
             chi = random_orthogonal_state(phi, seed, 11)
             psi = PureState(n, math.sqrt(target) * phi.amplitudes
                             + math.sqrt(1 - target) * chi.amplitudes)
             gate = Gate.unitary(reflection_matrix(psi), tuple(range(n)))
             return Certificate.circuit_description(Circuit(n, (gate,)))
         if self.mode == "complement_phase":
-            theta = self.parameters.get("theta")
+            theta = self._number("theta", None)
             if theta is None:
                 theta = float(make_rng(seed, 12).uniform(0, 2 * math.pi))
             proj = np.outer(phi.amplitudes, phi.amplitudes.conj())
@@ -575,6 +586,59 @@ def verify_L5(phi: PureState, cert: Certificate, probes: int, seed: int = 0,
         copies_consumed=base.copies_consumed + est.copies(probes + 1),
         transcript=tuple(transcript),
     )
+
+
+# ---------------------------------------------------------------------------
+# one dispatch from a protocol name to its verifier
+
+
+def protocol_instance(protocol: str, state):
+    """``state`` in the form ``protocol``'s verifier takes: a density
+    operator for L3, a pure state for L1, L2, L4 and L5."""
+    if protocol == "L3":
+        return state.density()
+    if not isinstance(state, PureState):
+        raise FormatError(f"{protocol} needs a pure-state instance, got a density operator")
+    return state
+
+
+def _cut(instance, cut) -> Bipartition:
+    return Bipartition.from_subset(instance.n, (0,) if cut is None else cut)
+
+
+def honest_certificate(protocol: str, instance, cut=None) -> Certificate:
+    """The honest prover's certificate for an instance from
+    :func:`protocol_instance`; ``cut`` as in :func:`run_protocol`."""
+    if protocol == "L2":
+        return merlin_L2_honest(instance)
+    if protocol == "L3":
+        return merlin_L3_honest(instance, _cut(instance, cut))
+    if protocol in ("L4", "L5"):
+        return merlin_L4_honest(instance)
+    raise FormatError(f"no honest certificate for {protocol}")
+
+
+def run_protocol(protocol: str, instance, cert: Certificate | None, repetitions: int,
+                 seed: int = 0, shots: int | None = None, cut=None,
+                 prefix: int | None = None, panel_random: int = 200) -> Verdict:
+    """Run ``protocol``'s verifier on an instance from :func:`protocol_instance`.
+
+    ``repetitions`` is the swap-test count M of L1/L2 and the probe count
+    of L4/L5.  L1 takes no certificate and tests the first ``prefix``
+    qubits, all by default.  L3 makes one pass: it splits the qubits into
+    side A ``cut`` (qubit 0 alone by default) and the rest, and vets the
+    witness on ``panel_random`` random product states.  The verifiers are
+    looked up in this module at call time, so wrappers put here see them.
+    """
+    if protocol == "L1":
+        return verify_L1(instance, instance.n if prefix is None else prefix,
+                         repetitions, seed, shots)
+    if cert is None:
+        raise FormatError(f"{protocol} needs a certificate source")
+    if protocol == "L3":
+        return verify_L3(instance, cert, shots, seed, _cut(instance, cut), panel_random)
+    verify = {"L2": verify_L2, "L4": verify_L4, "L5": verify_L5}[protocol]
+    return verify(instance, cert, repetitions, seed, shots)
 
 
 # ---------------------------------------------------------------------------

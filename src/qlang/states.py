@@ -99,6 +99,9 @@ class DensityOperator:
     def dim(self) -> int:
         return 1 << self.n
 
+    def density(self) -> "DensityOperator":
+        return self
+
     def is_pure(self, atol: float = ATOL_RECON) -> bool:
         return purity(self) >= 1.0 - atol
 

@@ -3,7 +3,7 @@ import json
 import numpy as np
 import pytest
 
-from qlang import cli
+from qlang import cli, protocols
 from qlang.circuits import Circuit, Gate, circuit_unitary
 from qlang.cli import main
 from qlang.errors import CertificateError, FormatError
@@ -198,6 +198,14 @@ def bell_prefix_file(tmp_path):
     return str(p)
 
 
+WERNER = {"name": "werner", "p": 0.5}
+
+
+def _cheat_config(variant, params):
+    return {"protocol": "L4", "instance": {"name": "bell"},
+            "certificate": {"type": "cheat", "variant": variant, "params": params}}
+
+
 class TestCliExitCodes:
     def test_purity_reject(self, bell_prefix_file, capsys):
         rc = main(["purity", "--state", bell_prefix_file,
@@ -280,6 +288,31 @@ class TestCliExitCodes:
                                          "certificate": {"type": "honest"}}),
         "cut entry is a list": ("sweep", {"protocol": "L3", "instance": {"name": "bell"},
                                           "certificate": {"type": "honest"}, "cut": [[1]]}),
+        "config is a string": ("sweep", "database"),
+        "config is a number": ("sweep", 5),
+        "config is null": ("sweep", None),
+        "cheat overlap is a list": ("sweep", _cheat_config("reflect_other", {"overlap": [1]})),
+        "cheat overlap is a string": ("sweep",
+                                      _cheat_config("reflect_other", {"overlap": "0.5"})),
+        "cheat theta is a string": ("sweep", _cheat_config("complement_phase", {"theta": "x"})),
+        "instance n is a boolean": ("sweep", {"protocol": "L1",
+                                              "instance": {"name": "ghz", "n": True}}),
+        "werner p is a boolean": ("sweep", {"protocol": "L3",
+                                            "instance": {"name": "werner", "p": True},
+                                            "certificate": {"type": "honest"}}),
+        "subset bits is a number": ("sweep", {"protocol": "L2", "instance": {"name": "bell"},
+                                              "certificate": {"type": "subset", "bits": 10}}),
+        "cheat under L3": ("sweep", {"protocol": "L3", "instance": WERNER,
+                                     "certificate": {"type": "cheat",
+                                                     "variant": "reflect_other"}}),
+        "werner under L1": ("sweep", {"protocol": "L1", "instance": WERNER}),
+        "werner under L2": ("sweep", {"protocol": "L2", "instance": WERNER,
+                                      "certificate": {"type": "subset", "bits": "10"}}),
+        "werner under L4": ("sweep", {"protocol": "L4", "instance": WERNER,
+                                      "certificate": {"type": "honest"}}),
+        "werner under L5": ("sweep", {"protocol": "L5", "instance": WERNER,
+                                      "certificate": {"type": "cheat",
+                                                      "variant": "identity"}}),
     }
 
     @pytest.mark.parametrize("case", list(MALFORMED))
@@ -294,6 +327,23 @@ class TestCliExitCodes:
         assert main(argv) == 2
         err = capsys.readouterr().err
         assert err.startswith("error:") and "Traceback" not in err
+
+    def test_verifier_looked_up_at_call_time(self, bell_file, tmp_path, monkeypatch):
+        calls = []
+        original = protocols.verify_L4
+
+        def spy(*args, **kwargs):
+            calls.append(args[2])
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(protocols, "verify_L4", spy)
+        assert main(["reflect", "--state", bell_file, "--honest", "--probes", "3"]) == 0
+        config = tmp_path / "cfg.json"
+        config.write_text(json.dumps({"protocol": "L4", "instance": {"name": "bell"},
+                                      "certificate": {"type": "honest"},
+                                      "repetitions": 5}))
+        assert main(["sweep", "--config", str(config), "--out", str(tmp_path / "out")]) == 0
+        assert calls == [3, 5]
 
     def test_missing_cert_source_is_2(self, bell_file):
         assert main(["separable", "--state", bell_file, "--reps", "5"]) == 2

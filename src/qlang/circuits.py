@@ -434,6 +434,8 @@ def parse_circuit_text(text: str, unitary_loader=None) -> Circuit:
         toks = line.split()
         op = toks[0].lower()
         try:
+            if op in ("qubits", "h", "x") and len(toks) != 2:
+                raise FormatError(f"line {lineno}: {toks[0]} takes exactly one argument")
             if op == "qubits":
                 n = int(toks[1])
             elif n is None:

@@ -25,6 +25,7 @@ from .protocols import (
     run_protocol,
 )
 from .states import (
+    MAX_QUBITS,
     basis_state,
     bell_state,
     ghz_state,
@@ -123,9 +124,11 @@ class ExperimentRecord:
 # instance and certificate sources
 
 
-def _required(spec: dict, key: str, what: str):
+def _required(spec: dict, key: str, what: str, kind: type = object):
     if key not in spec:
         raise FormatError(f"{what} spec needs {key!r}")
+    if not isinstance(spec[key], kind):
+        raise FormatError(f"{what} {key!r} must be a {kind.__name__}, got {spec[key]!r}")
     return spec[key]
 
 
@@ -149,9 +152,14 @@ def make_instance(spec: dict, seed: int, trial: int):
     if kind == "file":
         from .files import load_state
 
-        return load_state(_required(spec, "path", "instance"))
+        return load_state(_required(spec, "path", "instance", str))
     name = _required(spec, "name", "instance")
-    n = _convert(int, spec.get("n", 2), "instance 'n'")
+    n = spec.get("n", 2)
+    low = 2 if name == "bell_prefix" else 1
+    if isinstance(n, bool) or not isinstance(n, int) or n < low:
+        raise FormatError(f"instance 'n' must be an integer >= {low}, got {n!r}")
+    if n > MAX_QUBITS:  # before any generator allocates 2^n amplitudes
+        raise ResourceLimitError(f"instance 'n' = {n} exceeds the {MAX_QUBITS}-qubit limit")
     if name == "bell":
         return bell_state()
     if name == "ghz":
@@ -188,7 +196,7 @@ def make_certificate(spec: dict | None, cfg: ExperimentConfig, instance,
     if kind == "file":
         from .files import load_certificate
 
-        return load_certificate(_required(spec, "path", "certificate"))
+        return load_certificate(_required(spec, "path", "certificate", str))
     raise FormatError(f"unknown certificate source {kind!r}")
 
 

@@ -3,7 +3,8 @@
 Every verifier is a pure function of (instance, certificate, repetition
 count, seed) and runs in two modes, exact (``shots=None``) and sampled.
 The modes differ only inside :class:`Estimator`, which each verifier builds
-from its ``shots`` argument.  L3-L5 take their swap-test and checker
+from its ``shots`` argument and whose :meth:`Estimator.verdict` turns every
+decision into its :class:`Verdict`.  L3-L5 take their swap-test and checker
 distributions from closed forms on whole batches: the L3 validity panel is
 one amplitude array scored against every witness state with one batched
 matrix product, and the L4/L5 probes are one block that the certificate's
@@ -113,14 +114,8 @@ class Verdict:
     transcript: tuple = ()
 
     def as_dict(self) -> dict:
-        return {
-            "accepted": self.accepted,
-            "exact_accept_prob": self.exact_accept_prob,
-            "sampled_accept_freq": self.sampled_accept_freq,
-            "repetitions": self.repetitions,
-            "copies_consumed": self.copies_consumed,
-            "transcript": list(self.transcript),
-        }
+        # vars() keeps the field order, which records.json bytes depend on
+        return {**vars(self), "transcript": list(self.transcript)}
 
 
 # ---------------------------------------------------------------------------
@@ -173,13 +168,29 @@ class Estimator:
         """Allowed deviation of an estimate: ``atol`` exact, 3 sigma sampled."""
         return atol if self.shots is None else 3 * sigma
 
-    def copies(self, per_shot: int) -> int:
-        """Instance copies consumed: ``per_shot`` per shot, one shot if exact."""
-        return per_shot * (self.shots or 1)
+    def all_zero(self, p0: float, count: int, seed: int) -> float:
+        """Probability, or shot frequency, that ``count`` tests with P0 =
+        ``p0`` all read 0, test r sampled on stream (seed, r)."""
+        if self.shots is None:
+            return p0 ** count
+        passed = np.ones(self.shots, dtype=bool)
+        for zeros in self.draws([p0] * count, seed, [(r,) for r in range(count)]):
+            passed &= zeros
+        return float(passed.mean())
 
-    def recorded(self, freq: float) -> float | None:
-        """The Verdict's ``sampled_accept_freq``: None in exact mode."""
-        return None if self.shots is None else freq
+    def verdict(self, accepted: bool, repetitions: int, copies_per_shot: int, transcript,
+                exact: float | None = None, freq: float | None = None) -> Verdict:
+        """The Verdict of a decision that consumed ``copies_per_shot``
+        instance copies per shot (one shot if exact).  ``exact`` and the
+        sampled ``freq`` default to the decision as 0 or 1; a given ``freq``
+        ends a sampled transcript with ``{"sampled_accept_freq", "shots"}``."""
+        decision = 1.0 if accepted else 0.0
+        transcript = tuple(transcript)
+        if self.shots is not None and freq is not None:
+            transcript += ({"sampled_accept_freq": freq, "shots": self.shots},)
+        return Verdict(accepted, decision if exact is None else exact,
+                       None if self.shots is None else (decision if freq is None else freq),
+                       repetitions, copies_per_shot * (self.shots or 1), transcript)
 
 
 # ---------------------------------------------------------------------------
@@ -191,23 +202,9 @@ def _purity_protocol(rho: DensityOperator, repetitions: int, seed: int,
     est = Estimator(shots)
     plan = build_purity_circuit(rho.n, repetitions)
     p0 = probability_of_outcome(plan.estimator, estimation_input(rho, rho), "0")
-    exact = p0 ** repetitions
-    transcript = [{"p0_exact": p0}]
-    decided_on = exact
-    if shots is not None:
-        passed = np.ones(shots, dtype=bool)
-        for zeros in est.draws([p0] * repetitions, seed, [(r,) for r in range(repetitions)]):
-            passed &= zeros
-        decided_on = float(passed.mean())
-        transcript.append({"sampled_accept_freq": decided_on, "shots": shots})
-    return Verdict(
-        accepted=decided_on >= ACCEPT_THRESHOLD,
-        exact_accept_prob=exact,
-        sampled_accept_freq=est.recorded(decided_on),
-        repetitions=repetitions,
-        copies_consumed=est.copies(copies_per_run * repetitions),
-        transcript=tuple(transcript),
-    )
+    freq = est.all_zero(p0, repetitions, seed)
+    return est.verdict(freq >= ACCEPT_THRESHOLD, repetitions, copies_per_run * repetitions,
+                       [{"p0_exact": p0}], exact=p0 ** repetitions, freq=freq)
 
 
 def verify_L1(phi: PureState, f_n: int, repetitions: int, seed: int = 0,
@@ -255,13 +252,15 @@ def verify_L2(phi: PureState, cert: Certificate, repetitions: int, seed: int = 0
 
 def validity_panel(cut: Bipartition, seed: int, random_count: int = 200) -> np.ndarray:
     """Amplitude rows of the product states that vet a claimed witness: the
-    computational basis, then ``random_count`` seeded Haar product states
-    a_j (x) b_j across the cut, a_j on stream (seed, 101, j) and b_j on
-    (seed, 102, j)."""
+    computational basis, then ``random_count`` (0 or more) seeded Haar
+    product states a_j (x) b_j across the cut, a_j on stream (seed, 101, j)
+    and b_j on (seed, 102, j)."""
+    if random_count < 0:
+        raise ValueError(f"validity panel size must be >= 0, got {random_count}")
     na, nb = len(cut.subset_a), len(cut.subset_b)
     a = random_pure_states(na, seed, [(101, j) for j in range(random_count)])
     b = random_pure_states(nb, seed, [(102, j) for j in range(random_count)])
-    products = (a[:, :, None] * b[:, None, :]).reshape(random_count, -1)
+    products = (a[:, :, None] * b[:, None, :]).reshape(random_count, 1 << cut.n)
     inverse = np.argsort(cut.subset_a + cut.subset_b)  # (A, B) back to qubit order
     return np.vstack([np.eye(1 << cut.n, dtype=complex), permute_qubits(products, inverse)])
 
@@ -342,24 +341,22 @@ def verify_L3(rho: DensityOperator, cert: Certificate, shots: int | None = None,
                        "exact_statistic": exact_stat})
     accepted = valid and stat < -est.tolerance(sig, EXACT_DECISION_ATOL)
     exact_accept = 1.0 if (valid and exact_stat < -EXACT_DECISION_ATOL) else 0.0
-    return Verdict(
-        accepted=accepted,
-        exact_accept_prob=exact_accept,
-        sampled_accept_freq=est.recorded(1.0 if accepted else 0.0),
-        repetitions=1,
-        copies_consumed=est.copies(k),
-        transcript=tuple(transcript),
-    )
+    return est.verdict(accepted, 1, k, transcript, exact=exact_accept)
 
 
 # ---------------------------------------------------------------------------
 # L4: reflection-operator certificates
 
 
+def _unitary_certificate(u: np.ndarray) -> Certificate:
+    """One-gate circuit certificate applying ``u`` to all of its qubits."""
+    n = u.shape[0].bit_length() - 1
+    return Certificate.circuit_description(Circuit(n, (Gate.unitary(u, tuple(range(n))),)))
+
+
 def merlin_L4_honest(phi: PureState) -> Certificate:
     """Circuit implementing the exact reflection about the instance."""
-    gate = Gate.unitary(reflection_matrix(phi), tuple(range(phi.n)))
-    return Certificate.circuit_description(Circuit(phi.n, (gate,)))
+    return _unitary_certificate(reflection_matrix(phi))
 
 
 @dataclass(frozen=True)
@@ -388,26 +385,18 @@ class MerlinStrategy:
             chi = random_orthogonal_state(phi, seed, 11)
             psi = PureState(n, math.sqrt(target) * phi.amplitudes
                             + math.sqrt(1 - target) * chi.amplitudes)
-            gate = Gate.unitary(reflection_matrix(psi), tuple(range(n)))
-            return Certificate.circuit_description(Circuit(n, (gate,)))
+            return _unitary_certificate(reflection_matrix(psi))
+        proj = np.outer(phi.amplitudes, phi.amplitudes.conj())
         if self.mode == "complement_phase":
             theta = self._number("theta", None)
             if theta is None:
                 theta = float(make_rng(seed, 12).uniform(0, 2 * math.pi))
-            proj = np.outer(phi.amplitudes, phi.amplitudes.conj())
-            u = proj + np.exp(1j * theta) * (np.eye(d) - proj)
-            gate = Gate.unitary(u, tuple(range(n)))
-            return Certificate.circuit_description(Circuit(n, (gate,)))
+            return _unitary_certificate(proj + np.exp(1j * theta) * (np.eye(d) - proj))
         if self.mode == "complement_unitary":
-            proj = np.outer(phi.amplitudes, phi.amplitudes.conj())
             q = _complement_basis(phi)
-            w = haar_unitary(d - 1, seed, 13)
-            u = proj - q @ w @ q.conj().T
-            gate = Gate.unitary(u, tuple(range(n)))
-            return Certificate.circuit_description(Circuit(n, (gate,)))
+            return _unitary_certificate(proj - q @ haar_unitary(d - 1, seed, 13) @ q.conj().T)
         if self.mode == "haar":
-            gate = Gate.unitary(haar_unitary(d, seed, 14), tuple(range(n)))
-            return Certificate.circuit_description(Circuit(n, (gate,)))
+            return _unitary_certificate(haar_unitary(d, seed, 14))
         raise StrategyError(f"unknown strategy mode {self.mode!r}")
 
 
@@ -496,19 +485,17 @@ def verify_L4(phi: PureState, cert: Certificate, probes: int, seed: int = 0,
         if not ok:
             accepted = False
             break
-    exact = 1.0 if accepted else 0.0
-    return Verdict(
-        accepted=accepted,
-        exact_accept_prob=exact,
-        sampled_accept_freq=est.recorded(exact),
-        repetitions=probes,
-        copies_consumed=est.copies(2 * probes),
-        transcript=tuple(transcript),
-    )
+    return est.verdict(accepted, probes, 2 * probes, transcript)
 
 
 # ---------------------------------------------------------------------------
 # L5: checkable states via the derived checker
+
+
+def _checker(n: int, controlled: Gate) -> Circuit:
+    """(I (x) H) ``controlled`` (I (x) H) on n + 1 qubits, measuring the flag,
+    the extra last qubit."""
+    return Circuit(n + 1, (Gate.h(n), controlled, Gate.h(n)), measured=(n,))
 
 
 def build_checker_from_reflection(phi: PureState) -> Circuit:
@@ -517,19 +504,14 @@ def build_checker_from_reflection(phi: PureState) -> Circuit:
     On phi (x) |0> the flag stays 0; on any state orthogonal to phi it
     flips to 1.
     """
-    return Circuit(phi.n + 1,
-                   (Gate.h(phi.n), controlled_reflection(phi), Gate.h(phi.n)),
-                   measured=(phi.n,))
+    return _checker(phi.n, controlled_reflection(phi))
 
 
 def checker_from_certificate(cert: Certificate) -> Circuit:
     """Same composition, but around the certificate's network."""
     if cert.kind != "circuit" or cert.circuit is None:
         raise CertificateError("expected a circuit certificate")
-    n = cert.circuit.n
-    return Circuit(n + 1,
-                   (Gate.h(n), controlled_unitary(circuit_unitary(cert.circuit)), Gate.h(n)),
-                   measured=(n,))
+    return _checker(cert.circuit.n, controlled_unitary(circuit_unitary(cert.circuit)))
 
 
 def _orthogonal_probes(phi: PureState, seed: int, count: int) -> np.ndarray:
@@ -559,8 +541,8 @@ def verify_L5(phi: PureState, cert: Certificate, probes: int, seed: int = 0,
     est = Estimator(shots)
     transcript = list(base.transcript)
     accepted = base.accepted
-    # sampled: a flag frequency over N = est.copies(1) shots may fall 3 / sqrt(N) short of 1
-    threshold = 1.0 - est.tolerance(math.sqrt(1.0 / est.copies(1)), EXACT_DECISION_ATOL)
+    # sampled: a flag frequency over N shots may fall 3 / sqrt(N) short of 1
+    threshold = 1.0 - est.tolerance(math.sqrt(1.0 / (shots or 1)), EXACT_DECISION_ATOL)
     if accepted:
         tested = np.vstack([_orthogonal_probes(phi, seed, probes), phi.amplitudes])
         p0 = hadamard_test_p0(tested, apply_circuit(cert.circuit, tested.T).T)
@@ -577,15 +559,8 @@ def verify_L5(phi: PureState, cert: Certificate, probes: int, seed: int = 0,
             accepted = p0_instance >= threshold
             transcript.append({"phase": "checker_instance", "flag0_prob": p0_instance,
                                "passed": accepted})
-    exact = 1.0 if accepted else 0.0
-    return Verdict(
-        accepted=accepted,
-        exact_accept_prob=exact,
-        sampled_accept_freq=est.recorded(exact),
-        repetitions=probes,
-        copies_consumed=base.copies_consumed + est.copies(probes + 1),
-        transcript=tuple(transcript),
-    )
+    # L4's 2 copies per probe, then one per orthogonal probe and one for the instance
+    return est.verdict(accepted, probes, 3 * probes + 1, transcript)
 
 
 # ---------------------------------------------------------------------------

@@ -296,7 +296,7 @@ def permute_qubits(amplitudes: np.ndarray, order) -> np.ndarray:
     n = len(order)
     lead = amplitudes.shape[:-1]
     axes = [*range(len(lead)), *(len(lead) + q for q in order)]
-    return amplitudes.reshape(lead + (2,) * n).transpose(axes).reshape(lead + (-1,))
+    return amplitudes.reshape(lead + (2,) * n).transpose(axes).reshape(lead + (1 << n,))
 
 
 def schmidt_spectrum(phi: PureState, cut: Bipartition) -> SchmidtSpectrum:

@@ -378,6 +378,12 @@ class TestTextFormat:
         with pytest.raises(FormatError, match="unknown"):
             parse_circuit_text("qubits 1\nRY q0\n")
 
+    @pytest.mark.parametrize("text", ["qubits 2\nH q0 q1\n", "qubits 2\nX q1 q0\n",
+                                      "qubits 2 7\nH q0\n"])
+    def test_trailing_tokens_rejected(self, text):
+        with pytest.raises(FormatError, match="exactly one argument"):
+            parse_circuit_text(text)
+
     def test_bad_qubit_token(self):
         with pytest.raises(FormatError):
             parse_circuit_text("qubits 2\nH 0\n")

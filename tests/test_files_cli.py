@@ -3,7 +3,7 @@ import json
 import numpy as np
 import pytest
 
-from qlang import cli, protocols
+from qlang import cli, experiments, protocols
 from qlang.circuits import Circuit, Gate, circuit_unitary
 from qlang.cli import main
 from qlang.errors import CertificateError, FormatError
@@ -313,6 +313,18 @@ class TestCliExitCodes:
         "werner under L5": ("sweep", {"protocol": "L5", "instance": WERNER,
                                       "certificate": {"type": "cheat",
                                                       "variant": "identity"}}),
+        "certificate path is a number": ("sweep", {"protocol": "L4",
+                                                   "instance": {"name": "bell"},
+                                                   "certificate": {"type": "file",
+                                                                   "path": 5}}),
+        "instance path is a list": ("sweep", {"protocol": "L1",
+                                              "instance": {"type": "file", "path": [1]}}),
+        "instance n is a float": ("sweep", {"protocol": "L1",
+                                            "instance": {"name": "ghz", "n": 2.7}}),
+        "plus_product n is 0": ("sweep", {"protocol": "L1",
+                                          "instance": {"name": "plus_product", "n": 0}}),
+        "bell_prefix n is 1": ("sweep", {"protocol": "L1",
+                                         "instance": {"name": "bell_prefix", "n": 1}}),
     }
 
     @pytest.mark.parametrize("case", list(MALFORMED))
@@ -344,6 +356,21 @@ class TestCliExitCodes:
                                       "repetitions": 5}))
         assert main(["sweep", "--config", str(config), "--out", str(tmp_path / "out")]) == 0
         assert calls == [3, 5]
+
+    def test_oversized_generator_is_3_before_allocating(self, tmp_path, monkeypatch, capsys):
+        def allocate(n):
+            raise AssertionError(f"ghz_state({n}) called")
+
+        monkeypatch.setattr(experiments, "ghz_state", allocate)
+        p = tmp_path / "cfg.json"
+        p.write_text(json.dumps({"protocol": "L1", "instance": {"name": "ghz", "n": 40}}))
+        assert main(["sweep", "--config", str(p), "--out", str(tmp_path / "out")]) == 3
+        assert capsys.readouterr().err.startswith("error:")
+
+    def test_negative_panel_is_2(self, bell_file, capsys):
+        assert main(["witness", "--state", bell_file, "--honest", "--panel", "-1"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "panel" in err
 
     def test_missing_cert_source_is_2(self, bell_file):
         assert main(["separable", "--state", bell_file, "--reps", "5"]) == 2

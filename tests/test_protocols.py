@@ -281,7 +281,13 @@ class TestValidityPanel:
                 assert abs(panel[8 + j][q[0] * 4 + q[1] * 2 + q[2]] - a[qa] * b[qb]) < 1e-15
 
 
+
 class TestVerifyL3:
+    def test_basis_only_panel(self):
+        rho = werner_state(0.9)
+        v = verify_L3(rho, merlin_L3_honest(rho, BELL_CUT), panel_random=0)
+        assert v.accepted and v.exact_accept_prob == 1.0
+
     def test_bell_honest_exact(self):
         cert = merlin_L3_honest(bell_state().density(), BELL_CUT)
         v = verify_L3(bell_state().density(), cert, panel_random=50)
@@ -515,6 +521,34 @@ class TestVerifyL5:
         phi = random_pure_state(1, 302)
         v = verify_L5(phi, merlin_L4_honest(phi), probes=3, seed=8, shots=40_000)
         assert v.accepted
+
+
+class TestVerdictAccounting:
+    """Copies and transcript entries each protocol reports, in both modes."""
+
+    @pytest.mark.parametrize("shots", [None, 300])
+    @pytest.mark.parametrize("probes", [1, 4])
+    def test_probe_protocol_copies(self, shots, probes):
+        phi = random_pure_state(2, 310)
+        cert = merlin_L4_honest(phi)
+        per_shot = {verify_L4: 2 * probes, verify_L5: 3 * probes + 1}
+        for verify, copies in per_shot.items():
+            v = verify(phi, cert, probes, seed=3, shots=shots)
+            assert v.repetitions == probes
+            assert v.copies_consumed == copies * (shots or 1)
+
+    @pytest.mark.parametrize("shots", [None, 300])
+    def test_purity_transcripts(self, shots):
+        phi = tensor_states(plus_state(), bell_state())
+        for v in (verify_L1(phi, 2, 4, seed=1, shots=shots),
+                  verify_L2(phi, Certificate.subset_string("100"), 4, seed=1, shots=shots)):
+            assert v.copies_consumed == 8 * (shots or 1)
+            assert [sorted(t) for t in v.transcript] == (
+                [["p0_exact"]] if shots is None
+                else [["p0_exact"], ["sampled_accept_freq", "shots"]])
+            if shots is not None:
+                assert v.transcript[1] == {"sampled_accept_freq": v.sampled_accept_freq,
+                                           "shots": shots}
 
 
 class TestRequiredRepetitions:

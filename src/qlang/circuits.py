@@ -1,10 +1,12 @@
 """Gate-level circuits and exact evolution.
 
-Gates are either small unitaries (Hadamard, Pauli-X, raw injected
-unitaries) applied by tensor contraction, or basis permutations
-(controlled-SWAP blocks, Toffoli-type conjunction gates, qubit
-permutations) applied by index gather, which keeps the controlled-SWAP of
-two n-qubit registers cheap without materializing a 2^(2n+1) matrix.
+Gates act on the ``(2,) * n`` view of a state's rows.  Small unitaries
+(Hadamard, Pauli-X, raw injected unitaries) contract their target axes;
+basis permutations reorder qubit axes: a qubit permutation transposes
+them, and a controlled-SWAP block or Toffoli-type conjunction gate swaps
+its registers' axes or flips its target axis on the block where its
+controls read 1.  So the controlled-SWAP of two n-qubit registers never
+materializes a 2^(2n+1) matrix.
 """
 
 from __future__ import annotations
@@ -89,31 +91,6 @@ class Gate:
         u.setflags(write=False)
         return cls("RawUnitary", t, matrix=u)
 
-    def is_permutation(self) -> bool:
-        return self.kind in ("ControlledSwapBlock", "ToffoliType", "QubitPermutation")
-
-    def basis_map(self, n: int) -> np.ndarray:
-        """Index map pi with |i> -> |pi[i]> for permutation-kind gates."""
-        idx = np.arange(1 << n)
-        if self.kind == "ControlledSwapBlock":
-            sw = idx
-            for qa, qb in zip(self.reg_a, self.reg_b):
-                diff = ((idx >> (n - 1 - qa)) ^ (idx >> (n - 1 - qb))) & 1
-                sw = sw ^ (diff << (n - 1 - qa)) ^ (diff << (n - 1 - qb))
-            ctl = (idx >> (n - 1 - self.control)) & 1
-            return np.where(ctl == 1, sw, idx)
-        if self.kind == "ToffoliType":
-            fire = np.ones_like(idx)
-            for q in self.controls:
-                fire &= (idx >> (n - 1 - q)) & 1
-            return idx ^ (fire << (n - 1 - self.flip_target))
-        if self.kind == "QubitPermutation":
-            out = np.zeros_like(idx)
-            for j, src in enumerate(self.perm):
-                out |= ((idx >> (n - 1 - src)) & 1) << (n - 1 - j)
-            return out
-        raise ValueError(f"{self.kind} gate has no basis map")
-
 
 @dataclass(frozen=True)
 class Circuit:
@@ -135,6 +112,8 @@ class Circuit:
                 raise ValueError("qubit permutation must cover the whole circuit")
         if any(q < 0 or q >= self.n for q in self.measured):
             raise ValueError("measured qubits out of range")
+        if len(set(self.measured)) != len(self.measured):
+            raise ValueError(f"duplicate measured qubits: {self.measured}")
 
 
 @dataclass(frozen=True)
@@ -155,17 +134,27 @@ class ShotResult:
 
 def _apply_gate_left(mat: np.ndarray, gate: Gate, n: int) -> np.ndarray:
     """G @ mat for mat with 2^n rows (any column count)."""
-    if gate.is_permutation():
-        out = np.empty_like(mat)
-        out[gate.basis_map(n)] = mat
-        return out
-    k = len(gate.targets)
-    cols = mat.shape[1] if mat.ndim == 2 else 1
-    t = mat.reshape([2] * n + ([cols] if mat.ndim == 2 else []))
-    u = gate.matrix.reshape([2] * (2 * k))
-    t = np.tensordot(u, t, axes=(list(range(k, 2 * k)), list(gate.targets)))
-    t = np.moveaxis(t, list(range(k)), list(gate.targets))
-    return t.reshape(mat.shape)
+    t = mat.reshape((2,) * n + mat.shape[1:])
+    axes = list(range(t.ndim))
+    if gate.kind == "QubitPermutation":
+        return t.transpose(list(gate.perm) + axes[n:]).reshape(mat.shape)
+    if gate.matrix is not None:
+        k = len(gate.targets)
+        u = gate.matrix.reshape((2,) * (2 * k))
+        t = np.tensordot(u, t, axes=(list(range(k, 2 * k)), list(gate.targets)))
+        return np.moveaxis(t, list(range(k)), list(gate.targets)).reshape(mat.shape)
+    # on the block where every control reads 1, swap the registers' axes
+    # or flip the target axis
+    if gate.kind == "ControlledSwapBlock":
+        for a, b in zip(gate.reg_a, gate.reg_b):
+            axes[a], axes[b] = b, a
+        moved, controls = t.transpose(axes), (gate.control,)
+    else:
+        moved, controls = np.flip(t, gate.flip_target), gate.controls
+    block = tuple(1 if q in controls else slice(None) for q in range(n))
+    out = t.copy()
+    out[block] = moved[block]
+    return out.reshape(mat.shape)
 
 
 def apply_circuit(c: Circuit, mat: np.ndarray) -> np.ndarray:
@@ -185,13 +174,11 @@ def evolve_pure(c: Circuit, phi: PureState) -> PureState:
 
 
 def evolve_exact(c: Circuit, rho: DensityOperator) -> DensityOperator:
-    """Conjugate the input density operator by every gate in order."""
+    """U rho U^dagger for the circuit unitary U, as (U (U rho)^dagger)^dagger:
+    two :func:`apply_circuit` passes."""
     if rho.n != c.n:
         raise ValueError("state size does not match circuit size")
-    m = rho.matrix
-    for g in c.gates:
-        left = _apply_gate_left(m, g, c.n)
-        m = _apply_gate_left(left.conj().T, g, c.n).conj().T
+    m = apply_circuit(c, apply_circuit(c, rho.matrix).conj().T).conj().T
     return DensityOperator(c.n, m, validate=False)
 
 
@@ -200,21 +187,13 @@ def circuit_unitary(c: Circuit) -> np.ndarray:
     return apply_circuit(c, np.eye(1 << c.n, dtype=complex))
 
 
-def _bit_of(idx: np.ndarray, q: int, n: int) -> np.ndarray:
-    return (idx >> (n - 1 - q)) & 1
-
-
 def outcome_distribution(c: Circuit, rho: DensityOperator) -> np.ndarray:
     """Exact Born-rule distribution over the measured qubits' bitstrings."""
     if not c.measured:
         raise ValueError("circuit declares no measured qubits")
     diag = np.clip(evolve_exact(c, rho).matrix.diagonal().real, 0.0, None)
-    idx = np.arange(1 << c.n)
-    k = len(c.measured)
-    om = np.zeros_like(idx)
-    for pos, q in enumerate(c.measured):
-        om |= _bit_of(idx, q, c.n) << (k - 1 - pos)
-    dist = np.bincount(om, weights=diag, minlength=1 << k)
+    rest = tuple(q for q in range(c.n) if q not in c.measured)
+    dist = permute_qubits(diag, c.measured + rest).reshape(1 << len(c.measured), -1).sum(1)
     return dist / dist.sum()
 
 

@@ -15,8 +15,8 @@ honest certificate and the verifier call, as they do for ``sweep``.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
-import os
 import sys
 from pathlib import Path
 
@@ -114,9 +114,8 @@ def _cmd_sweep(args) -> int:
     else:
         base = ExperimentConfig.from_dict(raw)
         grid = {}
-    workers = args.workers or int(os.environ.get("QLANG_WORKERS", "1"))
     if grid:
-        records = sweep(base, grid, workers=workers)
+        records = sweep(base, grid, workers=args.workers)
     else:
         records = [run_experiment(base)]
     files.write_records(records, args.out)
@@ -135,7 +134,10 @@ def _cmd_calib(args) -> int:
 # ---------------------------------------------------------------------------
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The ``qlang`` parser, built once per process.  ``handler`` names the
+    subcommand's ``_cmd_*`` function, which :func:`main` looks up per call."""
     parser = argparse.ArgumentParser(
         prog="qlang",
         description="Swap-test verification protocols for quantum state languages")
@@ -153,7 +155,7 @@ def build_parser() -> argparse.ArgumentParser:
         if certificates:
             p.add_argument("--cert")
             p.add_argument("--honest", action="store_true")
-        p.set_defaults(handler=_cmd_verify, protocol=protocol, cert=None, honest=False,
+        p.set_defaults(handler="_cmd_verify", protocol=protocol, cert=None, honest=False,
                        cheat=None, cut=None, prefix=None, panel=200, reps=1)
         return p
 
@@ -188,22 +190,22 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--epsilon", type=float, default=0.1)
     p.add_argument("--prefix", type=int)
     p.add_argument("--cut")
-    p.set_defaults(handler=_cmd_oracle)
+    p.set_defaults(handler="_cmd_oracle")
 
     p = sub.add_parser("bridge", help="entanglement of a circuit's |0..0> output")
     p.add_argument("--circuit", required=True)
-    p.set_defaults(handler=_cmd_bridge)
+    p.set_defaults(handler="_cmd_bridge")
 
     p = sub.add_parser("sweep", help="run an experiment grid")
     p.add_argument("--config", required=True)
     p.add_argument("--out", required=True)
-    p.add_argument("--workers", type=int, default=0)
-    p.set_defaults(handler=_cmd_sweep)
+    p.add_argument("--workers", type=int, default=1)
+    p.set_defaults(handler="_cmd_sweep")
 
     p = sub.add_parser("calib", help="repetition count for a decision gap")
     p.add_argument("--gap", type=float, required=True)
     p.add_argument("--err", type=float, required=True)
-    p.set_defaults(handler=_cmd_calib)
+    p.set_defaults(handler="_cmd_calib")
 
     return parser
 
@@ -211,7 +213,7 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        return args.handler(args)
+        return globals()[args.handler](args)
     except (FormatError, CertificateError, StrategyError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

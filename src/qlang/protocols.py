@@ -114,7 +114,7 @@ class Verdict:
     transcript: tuple = ()
 
     def as_dict(self) -> dict:
-        # vars() keeps the field order, which records.json bytes depend on
+        # field order is free: records.json and the CLI JSON sort their keys
         return {**vars(self), "transcript": list(self.transcript)}
 
 

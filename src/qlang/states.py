@@ -61,11 +61,6 @@ class PureState:
         return DensityOperator(self.n, np.outer(self.amplitudes, self.amplitudes.conj()),
                                validate=False)
 
-    def inner(self, other: "PureState") -> complex:
-        if self.n != other.n:
-            raise ValueError("qubit counts differ")
-        return complex(np.vdot(self.amplitudes, other.amplitudes))
-
 
 @dataclass(frozen=True)
 class DensityOperator:
@@ -263,17 +258,11 @@ def partial_trace(rho: DensityOperator, keep) -> DensityOperator:
         raise ValueError(f"keep indices {keep} invalid for {n} qubits")
     if len(keep) == n:
         return rho
-    letters = "abcdefghijklmnopqrstuvwxyzABCDEFGHIJKLMNOPQRSTUVWXYZ"
-    row = list(letters[:n])
-    col = list(letters[n:2 * n])
-    for q in range(n):
-        if q not in keep:
-            col[q] = row[q]
-    sub = "".join(row) + "".join(col) + "->" + \
-        "".join(row[q] for q in keep) + "".join(col[q] for q in keep)
+    # the flat matrix is a 2n-qubit vector: row qubits 0..n-1, then columns
+    order = keep + [q for q in range(n) if q not in keep]
+    t = permute_qubits(rho.matrix.reshape(-1), order + [n + q for q in order])
     k = len(keep)
-    t = rho.matrix.reshape([2] * (2 * n))
-    out = np.einsum(sub, t).reshape(1 << k, 1 << k)
+    out = np.trace(t.reshape(1 << k, 1 << (n - k), 1 << k, 1 << (n - k)), axis1=1, axis2=3)
     return DensityOperator(k, out, validate=False)
 
 

@@ -6,6 +6,7 @@ from qlang.errors import FormatError, ResourceLimitError
 from qlang.circuits import (
     Circuit,
     Gate,
+    apply_circuit,
     build_estimation_network,
     build_purity_circuit,
     circuit_unitary,
@@ -143,6 +144,120 @@ class TestEvolution:
         assert np.allclose(got.amplitudes, basis_state(3, 0b101).amplitudes)
         got = evolve_pure(c, basis_state(3, 0b010))  # control 0: no-op
         assert np.allclose(got.amplitudes, basis_state(3, 0b010).amplitudes)
+
+
+def _bits(i, n):
+    return [(i >> (n - 1 - q)) & 1 for q in range(n)]
+
+
+def _index(bits):
+    return int("".join(map(str, bits)), 2)
+
+
+def reference_matrix(gate, n):
+    """The gate's 2^n x 2^n matrix, built one basis column at a time."""
+    d = 1 << n
+    m = np.zeros((d, d), dtype=complex)
+    for i in range(d):
+        b = _bits(i, n)
+        out = list(b)
+        if gate.matrix is not None:
+            k = len(gate.targets)
+            col = _index([b[q] for q in gate.targets])
+            for row in range(1 << k):
+                for q, bit in zip(gate.targets, _bits(row, k)):
+                    out[q] = bit
+                m[_index(out), i] += gate.matrix[row, col]
+            continue
+        if gate.kind == "QubitPermutation":
+            out = [b[src] for src in gate.perm]
+        elif gate.kind == "ControlledSwapBlock" and b[gate.control]:
+            for qa, qb in zip(gate.reg_a, gate.reg_b):
+                out[qa], out[qb] = b[qb], b[qa]
+        elif gate.kind == "ToffoliType" and all(b[q] for q in gate.controls):
+            out[gate.flip_target] ^= 1
+        m[_index(out), i] = 1
+    return m
+
+
+def _random_unitary(k, seed):
+    rng = np.random.default_rng(seed)
+    z = rng.standard_normal((1 << k, 1 << k)) + 1j * rng.standard_normal((1 << k, 1 << k))
+    q, r = np.linalg.qr(z)
+    return q * (np.diag(r) / np.abs(np.diag(r)))
+
+
+def every_gate_kind(n):
+    """One gate of each kind on n = 3..5 qubits, with out-of-order and
+    non-adjacent qubits wherever the kind allows."""
+    if n == 5:  # two-qubit registers, neither contiguous, control between
+        cswap = Gate.cswap(2, (0, 3), (4, 1))
+    else:
+        cswap = Gate.cswap(1, (0,), (n - 1,))
+    return [
+        Gate.h(n - 1),
+        Gate.x(1),
+        Gate.unitary(_random_unitary(2, n), (n - 1, 0)),
+        cswap,
+        Gate.toffoli_type((n - 1, 0) + tuple(range(2, n - 1)), 1),
+        Gate.permutation((2, 0, 1) + tuple(range(3, n))[::-1]),
+    ]
+
+
+GATE_CASES = [(n, i) for n in (3, 4, 5) for i in range(6)]
+
+
+class TestReferenceKernels:
+    """Every gate kind against a matrix built bit by bit."""
+
+    @pytest.mark.parametrize("n,i", GATE_CASES)
+    def test_gate_matches_reference(self, n, i):
+        gate = every_gate_kind(n)[i]
+        c = Circuit(n, (gate,))
+        ref = reference_matrix(gate, n)
+        phi = random_pure_state(n, i, 80)
+        assert np.max(np.abs(evolve_pure(c, phi).amplitudes - ref @ phi.amplitudes)) < 1e-12
+        block = np.random.default_rng(i).standard_normal((1 << n, 3)) + 0j
+        assert np.max(np.abs(apply_circuit(c, block) - ref @ block)) < 1e-12
+        rho = random_density(n, i, 81)
+        want = ref @ rho.matrix @ ref.conj().T
+        assert np.max(np.abs(evolve_exact(c, rho).matrix - want)) < 1e-12
+
+    @pytest.mark.parametrize("n", [3, 4, 5])
+    def test_circuit_matches_reference(self, n):
+        gates = every_gate_kind(n)
+        c = Circuit(n, tuple(gates))
+        ref = np.eye(1 << n, dtype=complex)
+        for g in gates:
+            ref = reference_matrix(g, n) @ ref
+        u = circuit_unitary(c)
+        assert np.max(np.abs(u - ref)) < 1e-12
+        rho = random_density(n, n, 82)
+        want = u @ rho.matrix @ u.conj().T
+        assert np.max(np.abs(evolve_exact(c, rho).matrix - want)) < 1e-12
+
+    def test_out_of_order_marginal(self):
+        n = 4
+        c = Circuit(n, tuple(every_gate_kind(n)), measured=(2, 0))
+        rho = random_density(n, 5, 83)
+        u = circuit_unitary(c)
+        diag = np.diag(u @ rho.matrix @ u.conj().T).real
+        want = np.zeros(4)
+        for i in range(1 << n):
+            b = _bits(i, n)
+            want[2 * b[2] + b[0]] += diag[i]
+        assert np.max(np.abs(outcome_distribution(c, rho) - want)) < 1e-12
+
+    def test_non_contiguous_partial_trace(self):
+        n, keep = 4, [0, 2]
+        rho = random_density(n, 6, 84)
+        want = np.zeros((4, 4), dtype=complex)
+        for i in range(1 << n):
+            for j in range(1 << n):
+                bi, bj = _bits(i, n), _bits(j, n)
+                if bi[1] == bj[1] and bi[3] == bj[3]:
+                    want[2 * bi[0] + bi[2], 2 * bj[0] + bj[2]] += rho.matrix[i, j]
+        assert np.max(np.abs(partial_trace(rho, keep).matrix - want)) < 1e-12
 
 
 class TestOutcomes:
@@ -387,6 +502,10 @@ class TestTextFormat:
     def test_bad_qubit_token(self):
         with pytest.raises(FormatError):
             parse_circuit_text("qubits 2\nH 0\n")
+
+    def test_duplicate_measured_qubit(self):
+        with pytest.raises(FormatError, match="duplicate measured"):
+            parse_circuit_text("qubits 2\nH q0\nmeasure q0 q0\n")
 
     def test_out_of_range_target(self):
         with pytest.raises(FormatError):

@@ -434,7 +434,7 @@ class TestCliReplay:
         assert ((out1 / "records.csv").read_bytes()
                 == (out2 / "records.csv").read_bytes())
 
-    def test_sweep_workers_agree(self, tmp_path, capsys, monkeypatch):
+    def test_sweep_workers_agree(self, tmp_path, capsys):
         cfg = {"base": {"protocol": "L1",
                         "instance": {"name": "bell_prefix", "n": 3},
                         "prefix": 1, "shots": 300},
@@ -443,7 +443,6 @@ class TestCliReplay:
         cfile.write_text(json.dumps(cfg))
         serial, parallel = tmp_path / "s", tmp_path / "p"
         main(["sweep", "--config", str(cfile), "--out", str(serial)])
-        monkeypatch.setenv("QLANG_WORKERS", "2")
-        main(["sweep", "--config", str(cfile), "--out", str(parallel)])
+        main(["sweep", "--config", str(cfile), "--out", str(parallel), "--workers", "2"])
         assert ((serial / "records.json").read_bytes()
                 == (parallel / "records.json").read_bytes())

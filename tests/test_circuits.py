@@ -24,6 +24,7 @@ from qlang.circuits import (
     subset_extract,
     swap_test_distribution,
 )
+from qlang.protocols import haar_unitary
 from qlang.states import (
     Bipartition,
     basis_state,
@@ -180,13 +181,6 @@ def reference_matrix(gate, n):
     return m
 
 
-def _random_unitary(k, seed):
-    rng = np.random.default_rng(seed)
-    z = rng.standard_normal((1 << k, 1 << k)) + 1j * rng.standard_normal((1 << k, 1 << k))
-    q, r = np.linalg.qr(z)
-    return q * (np.diag(r) / np.abs(np.diag(r)))
-
-
 def every_gate_kind(n):
     """One gate of each kind on n = 3..5 qubits, with out-of-order and
     non-adjacent qubits wherever the kind allows."""
@@ -197,7 +191,7 @@ def every_gate_kind(n):
     return [
         Gate.h(n - 1),
         Gate.x(1),
-        Gate.unitary(_random_unitary(2, n), (n - 1, 0)),
+        Gate.unitary(haar_unitary(4, n, 85), (n - 1, 0)),
         cswap,
         Gate.toffoli_type((n - 1, 0) + tuple(range(2, n - 1)), 1),
         Gate.permutation((2, 0, 1) + tuple(range(3, n))[::-1]),

@@ -85,7 +85,7 @@ class Gate:
         d = 1 << len(t)
         if u.shape != (d, d):
             raise ValueError(f"unitary shape {u.shape} does not match {len(t)} targets")
-        if np.max(np.abs(u.conj().T @ u - np.eye(d))) > 1e-9:
+        if not np.max(np.abs(u.conj().T @ u - np.eye(d))) <= 1e-9:  # NaN fails too
             raise ValueError("matrix is not unitary within 1e-9")
         u = u.copy()
         u.setflags(write=False)

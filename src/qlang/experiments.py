@@ -67,6 +67,8 @@ class ExperimentConfig:
                 raise ValueError(f"config field {name!r} has the wrong type: {value!r}")
         if self.trials < 1:
             raise ValueError("trials must be >= 1")
+        if not math.isfinite(self.epsilon):
+            raise ValueError(f"epsilon must be finite, got {self.epsilon!r}")
         if self.cut is not None:
             cut = tuple(_convert(int, q, "cut entry") for q in self.cut)
             object.__setattr__(self, "cut", cut)

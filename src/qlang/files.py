@@ -57,17 +57,17 @@ def state_from_dict(d: dict, where: str = "state"):
     if kind == "pure":
         v = _from_pairs(d["data"], dim, where)
         norm = float(np.linalg.norm(v))
-        if abs(norm - 1.0) > FILE_ATOL:
+        if not abs(norm - 1.0) <= FILE_ATOL:  # NaN fails too
             raise FormatError(f"{where}: state norm is {norm}, expected 1")
         return PureState(n, v / norm)
     if kind == "density":
         m = _from_pairs(d["data"], dim * dim, where).reshape(dim, dim)
         herm = float(np.max(np.abs(m - m.conj().T)))
-        if herm > FILE_ATOL:
+        if not herm <= FILE_ATOL:
             raise FormatError(f"{where}: Hermiticity violation of {herm}")
         m = (m + m.conj().T) / 2
         tr = float(np.trace(m).real)
-        if abs(tr - 1.0) > FILE_ATOL:
+        if not abs(tr - 1.0) <= FILE_ATOL:
             raise FormatError(f"{where}: trace is {tr}, expected 1")
         try:
             return DensityOperator(n, m / tr)

@@ -6,6 +6,13 @@ purity deficit of the prefix (L1), one minus the largest Schmidt
 coefficient over all bipartitions (L2), and negativity (L3).  The
 three-region classifier maps (member, margin) against a threshold
 ``epsilon`` into accept / reject / illegal.
+
+The L2 search walks the cuts with qubit 0 on side A, side sizes ascending
+and ``itertools.combinations`` order within a size, and takes the Schmidt
+coefficients of a slice of at most eight same-size cuts from one stacked
+SVD (:func:`qlang.states.schmidt_coefficients`).  A cut replaces the best
+one only if its margin is strictly smaller, so on ties the earliest cut
+wins, and the search stops at the first such cut of Schmidt rank 1.
 """
 
 from __future__ import annotations
@@ -13,20 +20,24 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass, field
 
+import numpy as np
+
 from .errors import ResourceLimitError
 from .circuits import Circuit, evolve_pure, subset_extract
 from .states import (
+    SCHMIDT_RANK_ATOL,
     Bipartition,
     DensityOperator,
     PureState,
     basis_state,
     is_separable_oracle,
     purity,
-    schmidt_spectrum,
+    schmidt_coefficients,
 )
 
 PURITY_MEMBER_ATOL = 1e-9
 L2_MAX_QUBITS = 10
+_CUT_SLICE = 8  # most cuts per stacked SVD: larger stacks raise the process's peak memory
 
 
 @dataclass(frozen=True)
@@ -78,20 +89,33 @@ def member_L1(phi: PureState, f_n: int) -> Membership:
     return Membership(p >= 1.0 - PURITY_MEMBER_ATOL, max(0.0, 1.0 - p))
 
 
-def _proper_cuts(n: int):
-    """All bipartitions, canonicalized to keep qubit 0 on side A."""
-    rest = list(range(1, n))
-    for r in range(0, n - 1):
-        for extra in itertools.combinations(rest, r):
-            yield Bipartition.from_subset(n, (0,) + extra)
+def _cut_margins(phi: PureState):
+    """(side A, 1 - largest Schmidt coefficient, Schmidt rank) of every cut
+    with qubit 0 on side A: sizes ascending, ``itertools.combinations`` order
+    within a size, one stacked SVD per slice of same-size cuts.  Slices in a
+    size grow 1, 2, 4, then ``_CUT_SLICE`` cuts, so a search that stops at an
+    early product cut computes few spectra it does not read."""
+    n = phi.n
+    for r in range(n - 1):
+        cuts = [(0, *extra) for extra in itertools.combinations(range(1, n), r)]
+        i, size = 0, 1
+        while i < len(cuts):
+            chunk = cuts[i:i + size]
+            rows = schmidt_coefficients(phi, chunk)
+            yield from zip(chunk, (1.0 - rows[:, 0]).tolist(),
+                           np.count_nonzero(rows > SCHMIDT_RANK_ATOL, axis=1).tolist())
+            i, size = i + size, min(2 * size, _CUT_SLICE)
 
 
 def member_L2(phi: PureState) -> Membership:
     """Is the state a product across some bipartition of its qubits?
 
-    Brute force over all 2^(n-1) - 1 cuts; the margin is the smallest
-    value of (1 - largest Schmidt coefficient) over cuts, so a member has
-    margin 0 and the witness cut is returned as a subset string.
+    Searches the 2^(n-1) - 1 cuts in slices of at most ``_CUT_SLICE``
+    same-size cuts, each slice one stacked SVD.  The margin is the smallest
+    value of (1 - largest Schmidt coefficient) over cuts; a cut replaces the
+    best one only if its margin is strictly smaller, so the earliest cut wins
+    a tie, and the search stops at the first such cut of Schmidt rank 1.  A
+    member has margin 0, and the best cut is returned as a subset string.
     """
     if phi.n < 2:
         raise ValueError("needs at least 2 qubits")
@@ -99,16 +123,14 @@ def member_L2(phi: PureState) -> Membership:
         raise ResourceLimitError(f"cut search supports at most {L2_MAX_QUBITS} qubits")
     best_margin = 2.0
     best_cut = None
-    for cut in _proper_cuts(phi.n):
-        spec = schmidt_spectrum(phi, cut)
-        margin = 1.0 - spec.largest
+    for cut, margin, rank in _cut_margins(phi):
         if margin < best_margin:
             best_margin = margin
             best_cut = cut
-            if spec.rank == 1:
+            if rank == 1:
                 break
     member = best_margin <= 1e-9
-    bits = "".join("1" if q in best_cut.subset_a else "0" for q in range(phi.n))
+    bits = "".join("1" if q in best_cut else "0" for q in range(phi.n))
     return Membership(member, max(0.0, best_margin), witness_cut=bits)
 
 
@@ -136,8 +158,10 @@ def circuit_output_entangled(c: Circuit) -> bool:
     if c.n > L2_MAX_QUBITS:
         raise ResourceLimitError(f"cut search supports at most {L2_MAX_QUBITS} qubits")
     out = evolve_pure(c, basis_state(c.n, 0))
-    return c.n > 1 and any(
-        schmidt_spectrum(out, Bipartition.from_subset(c.n, [q])).rank != 1 for q in range(c.n))
+    if c.n == 1:
+        return False
+    rows = schmidt_coefficients(out, [(q,) for q in range(c.n)])
+    return bool(np.any(np.count_nonzero(rows > SCHMIDT_RANK_ATOL, axis=1) != 1))
 
 
 def classify(lang: LanguageId, state, epsilon: float,

@@ -22,6 +22,7 @@ from .rng import make_rng, streams
 ATOL_CONSTRUCT = 1e-10
 ATOL_RECON = 1e-9
 MAX_QUBITS = 14
+SCHMIDT_RANK_ATOL = 1e-9  # a Schmidt coefficient above this counts toward the rank
 
 
 def _as_qubit_count(dim: int) -> int:
@@ -48,7 +49,7 @@ class PureState:
         if amps.shape != (1 << self.n,):
             raise ValueError(f"expected {1 << self.n} amplitudes, got shape {amps.shape}")
         norm = np.linalg.norm(amps)
-        if abs(norm - 1.0) > ATOL_CONSTRUCT:
+        if not abs(norm - 1.0) <= ATOL_CONSTRUCT:  # NaN fails too
             raise ValueError(f"state norm {norm!r} is not 1 within {ATOL_CONSTRUCT}")
         amps.setflags(write=False)
 
@@ -81,10 +82,10 @@ class DensityOperator:
         if mat.shape != (d, d):
             raise ValueError(f"expected {d}x{d} matrix, got shape {mat.shape}")
         if self.validate:
-            if np.max(np.abs(mat - mat.conj().T)) > ATOL_CONSTRUCT:
+            if not np.max(np.abs(mat - mat.conj().T)) <= ATOL_CONSTRUCT:  # NaN fails too
                 raise ValueError("matrix is not Hermitian within tolerance")
             tr = np.trace(mat).real
-            if abs(tr - 1.0) > ATOL_CONSTRUCT:
+            if not abs(tr - 1.0) <= ATOL_CONSTRUCT:
                 raise ValueError(f"trace {tr!r} is not 1 within {ATOL_CONSTRUCT}")
             if np.linalg.eigvalsh(mat).min() < -ATOL_CONSTRUCT:
                 raise ValueError("matrix has a negative eigenvalue beyond tolerance")
@@ -154,7 +155,7 @@ class SchmidtSpectrum:
     @property
     def rank(self) -> int:
         """Number of coefficients above numerical noise."""
-        return sum(1 for c in self.coefficients if c > 1e-9)
+        return sum(1 for c in self.coefficients if c > SCHMIDT_RANK_ATOL)
 
     @property
     def largest(self) -> float:
@@ -288,15 +289,26 @@ def permute_qubits(amplitudes: np.ndarray, order) -> np.ndarray:
     return amplitudes.reshape(lead + (2,) * n).transpose(axes).reshape(lead + (1 << n,))
 
 
+def schmidt_coefficients(phi: PureState, sides) -> np.ndarray:
+    """Schmidt coefficients of ``phi`` across each cut whose side A is one of
+    ``sides`` (sorted qubit tuples, all of one size), one normalized
+    nonincreasing row per cut, from a single stacked SVD."""
+    n, k = phi.n, len(sides[0])
+    if not 0 < k < n or any(len(a) != k for a in sides):
+        raise ValueError(f"side A subsets must all have one size in 1..{n - 1}")
+    stack = np.stack([permute_qubits(phi.amplitudes, [*a, *(q for q in range(n) if q not in a)])
+                      for a in sides])
+    sv = np.linalg.svd(stack.reshape(len(sides), 1 << k, -1), compute_uv=False)
+    sv = np.clip(sv, 0.0, None)
+    # vecdot runs np.linalg.norm's dot kernel row by row: bit-identical norms
+    return sv / np.sqrt(np.vecdot(sv, sv))[:, None]
+
+
 def schmidt_spectrum(phi: PureState, cut: Bipartition) -> SchmidtSpectrum:
     """Singular values of the amplitude matrix reshaped along ``cut``."""
     if cut.n != phi.n:
         raise ValueError("bipartition does not match the state size")
-    mat = permute_qubits(phi.amplitudes, cut.subset_a + cut.subset_b)
-    sv = np.linalg.svd(mat.reshape(1 << len(cut.subset_a), -1), compute_uv=False)
-    sv = np.clip(sv, 0.0, None)
-    sv = sv / np.linalg.norm(sv)
-    return SchmidtSpectrum(tuple(sv))
+    return SchmidtSpectrum(tuple(schmidt_coefficients(phi, [cut.subset_a])[0]))
 
 
 def partial_transpose(mat, cut: Bipartition) -> np.ndarray:

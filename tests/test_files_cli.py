@@ -36,6 +36,7 @@ from qlang.states import (
 )
 
 BELL_CUT = Bipartition.from_subset(2, [0])
+NAN = float("nan")
 
 
 class TestStateFiles:
@@ -325,6 +326,9 @@ class TestCliExitCodes:
                                           "instance": {"name": "plus_product", "n": 0}}),
         "bell_prefix n is 1": ("sweep", {"protocol": "L1",
                                          "instance": {"name": "bell_prefix", "n": 1}}),
+        "epsilon is NaN": ("sweep", {"protocol": "L1", "instance": {"name": "bell"},
+                                     "epsilon": NAN}),
+        "cheat theta is NaN": ("sweep", _cheat_config("complement_phase", {"theta": NAN})),
     }
 
     @pytest.mark.parametrize("case", list(MALFORMED))
@@ -401,6 +405,43 @@ class TestCliExitCodes:
         c.write_text("qubits 2\nH q0\n")
         assert main(["bridge", "--circuit", str(c)]) == 0
         assert json.loads(capsys.readouterr().out)["entangled"] is False
+
+    @pytest.fixture
+    def nan_circuit(self, tmp_path):
+        """A one-qubit circuit whose UNITARY payload holds a NaN."""
+        (tmp_path / "u.json").write_text(json.dumps(
+            {"targets": [0], "matrix": [[[NAN, 0], [0, 0]], [[0, 0], [1, 0]]]}))
+        c = tmp_path / "nan.txt"
+        c.write_text("qubits 1\nUNITARY u.json\n")
+        return str(c)
+
+    def assert_error_is_2(self, argv, capsys):
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err.startswith("error:")
+
+    def test_nan_pure_state_is_2(self, tmp_path, capsys):
+        p = tmp_path / "nan.json"
+        p.write_text(json.dumps({"format": 1, "kind": "pure", "n": 1,
+                                 "data": [[NAN, 0], [0, 0]]}))
+        self.assert_error_is_2(["purity", "--state", str(p), "--prefix", "1",
+                                "--reps", "3"], capsys)
+
+    def test_nan_density_is_2(self, tmp_path, capsys):
+        data = [[0.25, 0]] * 16
+        data[1] = data[4] = [NAN, 0]
+        p = tmp_path / "nan.json"
+        p.write_text(json.dumps({"format": 1, "kind": "density", "n": 2, "data": data}))
+        self.assert_error_is_2(["witness", "--state", str(p), "--honest"], capsys)
+
+    def test_nan_unitary_certificate_is_2(self, tmp_path, nan_circuit, capsys):
+        p = tmp_path / "zero.json"
+        save_state(basis_state(1, 0), p)
+        self.assert_error_is_2(["reflect", "--state", str(p), "--cert", nan_circuit,
+                                "--probes", "2"], capsys)
+
+    def test_nan_unitary_bridge_is_2(self, nan_circuit, capsys):
+        self.assert_error_is_2(["bridge", "--circuit", nan_circuit], capsys)
 
     def test_calib(self, capsys):
         assert main(["calib", "--gap", "0.3333333333333333",

@@ -1,9 +1,11 @@
+import itertools
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from qlang.errors import ResourceLimitError, UnsupportedOracleError, FormatError
-from qlang.circuits import Circuit, Gate, evolve_pure
+from qlang.circuits import Circuit, Gate, evolve_pure, parse_circuit_text
 from qlang.languages import (
     LanguageId,
     RegionVerdict,
@@ -141,6 +143,72 @@ class TestMemberL2:
         assert member_L2(rotated).margin == pytest.approx(base, abs=1e-9)
 
 
+def reference_member_L2(phi):
+    """The L2 cut search from its definition: one SVD per cut with qubit 0 on
+    side A, sizes ascending, combinations order within a size; a cut replaces
+    the best one only on a strictly smaller margin, and a rank-1 cut stops."""
+    n = phi.n
+    t = phi.amplitudes.reshape((2,) * n)
+    best_margin, best_side = 2.0, None
+    for extra in itertools.chain.from_iterable(
+            itertools.combinations(range(1, n), r) for r in range(n - 1)):
+        a = (0, *extra)
+        b = tuple(q for q in range(n) if q not in a)
+        sv = np.linalg.svd(t.transpose(a + b).reshape(1 << len(a), -1), compute_uv=False)
+        sv = np.clip(sv, 0.0, None)
+        sv = sv / np.linalg.norm(sv)
+        margin = 1.0 - float(sv[0])
+        if margin < best_margin:
+            best_margin, best_side = margin, a
+            if np.count_nonzero(sv > 1e-9) == 1:
+                break
+    bits = "".join("1" if q in best_side else "0" for q in range(n))
+    return best_margin <= 1e-9, max(0.0, best_margin), bits
+
+
+def factor_at(factor, rest, q):
+    """The one-qubit ``factor`` placed at qubit ``q`` of a product with ``rest``."""
+    n = rest.n + 1
+    amps = np.kron(factor.amplitudes, rest.amplitudes).reshape((2,) * n)
+    return PureState(n, np.moveaxis(amps, 0, q).reshape(-1))
+
+
+class TestCutSearchExact:
+    """member_L2's sliced, stacked search against the per-cut reference:
+    the same member flag, bit-identical margin and the same witness cut."""
+
+    @staticmethod
+    def check(phi):
+        res = member_L2(phi)
+        assert (res.member, res.margin, res.witness_cut) == reference_member_L2(phi)
+        return res
+
+    @pytest.mark.parametrize("n", range(2, 11))
+    def test_ghz(self, n):
+        res = self.check(ghz_state(n))
+        assert not res.member and res.witness_cut == "1" + "0" * (n - 1)
+
+    @pytest.mark.parametrize("n", range(2, 11))
+    def test_haar(self, n):
+        for seed in range(3):
+            assert not self.check(random_pure_state(n, seed, 80)).member
+
+    @pytest.mark.parametrize("n", range(2, 9))
+    def test_two_factor_product_at_every_position(self, n):
+        for q in range(n):
+            phi = factor_at(random_pure_state(1, q, 81), random_pure_state(n - 1, q, 82), q)
+            res = self.check(phi)
+            assert res.member
+            side = res.witness_cut.count("1")
+            assert res.witness_cut[q] == ("1" if q == 0 else "0") and side in (1, n - 1)
+
+    def test_three_factor_witness_is_first_product_cut(self):
+        phi = tensor_states(random_pure_state(1, 0, 83), random_pure_state(2, 0, 84),
+                            random_pure_state(3, 0, 85))
+        res = self.check(phi)
+        assert res.member and res.witness_cut == "100000"
+
+
 class TestMemberL3:
     def test_bell(self):
         res = member_L3(bell_state().density(), Bipartition.from_subset(2, [0]))
@@ -220,6 +288,37 @@ class TestClassicalBridge:
         cnot = np.eye(4)[:, [0, 1, 3, 2]]
         c = Circuit(3, (Gate.h(0), Gate.unitary(cnot, (0, 1))))
         assert circuit_output_entangled(c)
+
+
+def single_qubit_ranks(phi):
+    t = phi.amplitudes.reshape((2,) * phi.n)
+    return [np.count_nonzero(np.linalg.svd(np.moveaxis(t, q, 0).reshape(2, -1),
+                                           compute_uv=False) > 1e-9)
+            for q in range(phi.n)]
+
+
+class TestBridgeCuts:
+    """circuit_output_entangled's one stacked call against per-qubit ranks."""
+
+    @staticmethod
+    def check(c):
+        ranks = single_qubit_ranks(evolve_pure(c, basis_state(c.n, 0)))
+        got = circuit_output_entangled(c)
+        assert got == (c.n > 1 and any(r != 1 for r in ranks))
+        return got
+
+    def test_toffoli_circuit(self):
+        # the circuit of the CI entry-point check
+        assert self.check(parse_circuit_text("qubits 2\nH q0\nTOFF q0 | q1\n"))
+
+    def test_ghz_circuit(self):
+        assert self.check(parse_circuit_text("qubits 4\nH q1\nTOFF q1 | q0\nTOFF q1 | q3\n"))
+
+    @pytest.mark.parametrize("n", range(1, 8))
+    def test_x_only_circuits_are_products(self, n):
+        for mask in range(1 << n):
+            c = Circuit(n, tuple(Gate.x(q) for q in range(n) if mask >> q & 1))
+            assert not self.check(c)
 
 
 class TestClassify:

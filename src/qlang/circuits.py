@@ -7,10 +7,23 @@ them, and a controlled-SWAP block or Toffoli-type conjunction gate swaps
 its registers' axes or flips its target axis on the block where its
 controls read 1.  So the controlled-SWAP of two n-qubit registers never
 materializes a 2^(2n+1) matrix.
+
+Outcome distributions need only the diagonal of U rho U^dagger, and
+diag(U rho U^dagger)_i = sum_k (U rho)_ik conj(U_ik).  So
+:func:`outcome_distribution` runs the circuit on blocks of columns K of the
+input, stacked beside the same columns of the identity as
+[rho[:, K] | I[:, K]], and adds Re sum_K (U rho)[:, K] conj(U[:, K]) into
+the diagonal.  A zero column of rho adds nothing and is never built; an
+input given as tensor factors, such as the estimation network's
+|0><0| (x) rho_a (x) rho_b, is built column block by column block from its
+factors, so neither the 4^n-element input nor U rho U^dagger is ever
+allocated.  :func:`evolve_exact` evolves the whole matrix and is the dense
+reference the tests compare against.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -28,6 +41,7 @@ from .states import (
 
 _H = np.array([[1, 1], [1, -1]], dtype=complex) / np.sqrt(2)
 _X = np.array([[0, 1], [1, 0]], dtype=complex)
+_KET0 = basis_state(1, 0).density()
 
 
 @dataclass(frozen=True)
@@ -187,17 +201,61 @@ def circuit_unitary(c: Circuit) -> np.ndarray:
     return apply_circuit(c, np.eye(1 << c.n, dtype=complex))
 
 
-def outcome_distribution(c: Circuit, rho: DensityOperator) -> np.ndarray:
-    """Exact Born-rule distribution over the measured qubits' bitstrings."""
+# Input columns per block of the Born-rule kernel: the circuit acts on a
+# 2^n x (2 * BLOCK_COLUMNS) stack at a time.  64 runs swap tests on up to
+# 3-qubit registers as one block, and a 5-qubit one as 16 stacks of 4 MiB.
+BLOCK_COLUMNS = 64
+
+
+def _column_blocks(factors):
+    """(indices K, columns K) of the tensor product of the factors'
+    matrices, at most BLOCK_COLUMNS at a time, over the columns where every
+    factor's column is nonzero; the other columns of the product are zero."""
+    nonzero = [np.flatnonzero(f.matrix.any(axis=0)) for f in factors]
+    sizes = [len(z) for z in nonzero]
+    total = math.prod(sizes)
+    for start in range(0, total, BLOCK_COLUMNS):
+        picks = np.unravel_index(np.arange(start, min(start + BLOCK_COLUMNS, total)), sizes)
+        cols = [z[p] for z, p in zip(nonzero, picks)]
+        block = factors[0].matrix[:, cols[0]]
+        for f, col in zip(factors[1:], cols[1:]):
+            block = (block[:, None, :] * f.matrix[:, col]).reshape(-1, len(col))
+        yield np.ravel_multi_index(cols, [f.dim for f in factors]), block
+
+
+def outcome_distribution(c: Circuit, rho) -> np.ndarray:
+    """Exact Born-rule distribution over the measured qubits' bitstrings.
+
+    ``rho`` is a :class:`DensityOperator`, or a sequence of them read as
+    their tensor product.  The diagonal of U rho U^dagger is summed from
+    column blocks K: one :func:`apply_circuit` pass over [rho[:, K] | I[:, K]]
+    gives (U rho)[:, K] and U[:, K], and diag(U rho U^dagger)_i =
+    sum_k (U rho)_ik conj(U_ik).  Columns of the product where a factor's
+    column is zero add nothing and are skipped, so the estimation network's
+    factors |0><0|, rho_a, rho_b run half of the input's columns.
+    """
     if not c.measured:
         raise ValueError("circuit declares no measured qubits")
-    diag = np.clip(evolve_exact(c, rho).matrix.diagonal().real, 0.0, None)
+    factors = (rho,) if isinstance(rho, DensityOperator) else tuple(rho)
+    if sum(f.n for f in factors) != c.n:
+        raise ValueError("state size does not match circuit size")
+    diag = np.zeros(1 << c.n)
+    for cols, block in _column_blocks(factors):
+        w = len(cols)
+        stack = np.zeros((diag.size, 2 * w), dtype=complex)
+        stack[:, :w] = block
+        stack[cols, np.arange(w, 2 * w)] = 1.0
+        out = apply_circuit(c, stack)
+        diag += np.vecdot(out[:, w:], out[:, :w]).real
+    diag = np.clip(diag, 0.0, None)
     rest = tuple(q for q in range(c.n) if q not in c.measured)
     dist = permute_qubits(diag, c.measured + rest).reshape(1 << len(c.measured), -1).sum(1)
     return dist / dist.sum()
 
 
-def probability_of_outcome(c: Circuit, rho: DensityOperator, bits: str) -> float:
+def probability_of_outcome(c: Circuit, rho, bits: str) -> float:
+    """Probability of the measured bitstring ``bits``; ``rho`` as in
+    :func:`outcome_distribution`."""
     if len(bits) != len(c.measured):
         raise ValueError(f"outcome length {len(bits)} != {len(c.measured)} measured qubits")
     return float(outcome_distribution(c, rho)[int(bits, 2)])
@@ -247,7 +305,8 @@ def build_estimation_network(n: int) -> Circuit:
 
 
 def estimation_input(rho_a: DensityOperator, rho_b: DensityOperator) -> DensityOperator:
-    """|0><0| (x) rho_a (x) rho_b, the canonical estimation-network input."""
+    """|0><0| (x) rho_a (x) rho_b as one dense matrix: the estimation
+    network's input, which the verifiers pass as its three factors."""
     if rho_a.n != rho_b.n:
         raise ValueError("register sizes differ")
     return tensor(tensor(basis_state(1, 0).density(), rho_a), rho_b)
@@ -305,9 +364,14 @@ class CompositePlan:
     repetitions: int
     estimator: Circuit
 
+    def p0(self, rho: DensityOperator) -> float:
+        """Control P0 of the estimation network on |0><0| (x) rho (x) rho,
+        from column blocks of the three factors: the input's columns where
+        the control reads 1 are zero and are never built."""
+        return probability_of_outcome(self.estimator, (_KET0, rho, rho), "0")
+
     def exact_accept_prob(self, rho: DensityOperator) -> float:
-        p0 = probability_of_outcome(self.estimator, estimation_input(rho, rho), "0")
-        return p0 ** self.repetitions
+        return self.p0(rho) ** self.repetitions
 
     def monolithic_circuit(self) -> Circuit:
         block = 2 * self.m + 1
@@ -328,17 +392,9 @@ class CompositePlan:
         gates.append(Gate.toffoli_type(tuple(controls), total - 1))
         return Circuit(total, tuple(gates), measured=(total - 1,))
 
-    def monolithic_input(self, rho: DensityOperator) -> DensityOperator:
-        ctrl = basis_state(1, 0).density()
-        block = tensor(tensor(ctrl, rho), rho)
-        full = block
-        for _ in range(self.repetitions - 1):
-            full = tensor(full, block)
-        return tensor(full, ctrl)
-
     def monolithic_accept_prob(self, rho: DensityOperator) -> float:
-        return probability_of_outcome(self.monolithic_circuit(),
-                                      self.monolithic_input(rho), "1")
+        factors = (_KET0, rho, rho) * self.repetitions + (_KET0,)
+        return probability_of_outcome(self.monolithic_circuit(), factors, "1")
 
 
 def build_purity_circuit(m: int, repetitions: int) -> CompositePlan:

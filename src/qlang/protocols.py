@@ -12,7 +12,9 @@ gates act on together.  Random states and shot draws come from
 :func:`qlang.rng.streams`, which derives a batch of streams at once and
 draws exactly what :func:`qlang.rng.make_rng` would.  The gate-level
 circuits in :mod:`qlang.circuits` are the reference these kernels are
-tested against.
+tested against.  L1/L2 still run the estimation network for their P0,
+column block by column block of its factored input
+(:meth:`qlang.circuits.CompositePlan.p0`).
 
 The CLI and the sweep harness share one dispatch from a protocol name to its
 verifier: :func:`protocol_instance`, :func:`honest_certificate`, :func:`run_protocol`.
@@ -37,9 +39,7 @@ from .circuits import (
     circuit_unitary,
     controlled_reflection,
     controlled_unitary,
-    estimation_input,
     hadamard_test_p0,
-    probability_of_outcome,
     reflection_matrix,
     subset_extract,
     swap_test_p0,
@@ -201,7 +201,7 @@ def _purity_protocol(rho: DensityOperator, repetitions: int, seed: int,
                      shots: int | None, copies_per_run: int) -> Verdict:
     est = Estimator(shots)
     plan = build_purity_circuit(rho.n, repetitions)
-    p0 = probability_of_outcome(plan.estimator, estimation_input(rho, rho), "0")
+    p0 = plan.p0(rho)
     freq = est.all_zero(p0, repetitions, seed)
     return est.verdict(freq >= ACCEPT_THRESHOLD, repetitions, copies_per_run * repetitions,
                        [{"p0_exact": p0}], exact=p0 ** repetitions, freq=freq)

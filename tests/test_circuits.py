@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from qlang import circuits
 from qlang.errors import FormatError, ResourceLimitError
 from qlang.circuits import (
     Circuit,
@@ -358,6 +359,96 @@ class TestSwapTestKernel:
         # the network input would be a 2^13 x 2^13 matrix
         rho = random_pure_state(6, 4).density()
         assert swap_test_distribution(rho, rho)[0] == pytest.approx(1.0, abs=1e-12)
+
+
+def random_circuit(n, seed):
+    """Gates of every kind n qubits allow (H, X, a qubit permutation, a
+    two-target unitary, a Toffoli-type gate, a controlled-SWAP), then six
+    more drawn from those kinds, on random qubits; random measured qubits."""
+    rng = np.random.default_rng([seed, n])
+    kinds = ["h", "x", "perm"] + ["unitary", "toffoli"] * (n >= 2) + ["cswap"] * (n >= 3)
+    gates = []
+    for kind in kinds + list(rng.choice(kinds, size=6)):
+        q = [int(x) for x in rng.permutation(n)]
+        if kind == "h":
+            gates.append(Gate.h(q[0]))
+        elif kind == "x":
+            gates.append(Gate.x(q[0]))
+        elif kind == "perm":
+            gates.append(Gate.permutation(q))
+        elif kind == "unitary":
+            gates.append(Gate.unitary(haar_unitary(4, seed, n, len(gates)), q[:2]))
+        elif kind == "toffoli":
+            gates.append(Gate.toffoli_type(q[1:int(rng.integers(2, n + 1))], q[0]))
+        else:
+            r = int(rng.integers(1, (n - 1) // 2 + 1))
+            gates.append(Gate.cswap(q[0], q[1:1 + r], q[1 + r:1 + 2 * r]))
+    measured = rng.permutation(n)[:int(rng.integers(1, n + 1))]
+    return Circuit(n, tuple(gates), measured=tuple(int(q) for q in measured))
+
+
+def dense_distribution(c, rho):
+    """The measured qubits' marginal of evolve_exact's clipped diagonal."""
+    diag = np.clip(evolve_exact(c, rho).matrix.diagonal().real, 0.0, None)
+    want = np.zeros(1 << len(c.measured))
+    for i, p in enumerate(diag):
+        b = _bits(i, c.n)
+        want[_index([b[q] for q in c.measured])] += p
+    return want / want.sum()
+
+
+WIDTHS = [1, 3, circuits.BLOCK_COLUMNS]
+
+
+class TestBlockedBornDiagonal:
+    """outcome_distribution's column blocks against the dense evolution, with
+    blocks of one column, of three (a ragged last block) and of the default
+    width; the inputs with a |1><1| factor skip half of their columns."""
+
+    @pytest.mark.parametrize("width", WIDTHS)
+    @pytest.mark.parametrize("n", range(1, 8))
+    def test_matches_dense_reference(self, n, width, monkeypatch):
+        monkeypatch.setattr(circuits, "BLOCK_COLUMNS", width)
+        for seed in range(2):
+            c = random_circuit(n, seed)
+            rho = random_density(n, seed, 86)
+            assert np.max(np.abs(outcome_distribution(c, rho)
+                                 - dense_distribution(c, rho))) < 1e-12
+            factors = (basis_state(1, 1).density(),) + (
+                (random_density(n - 1, seed, 87),) if n > 1 else ())
+            product = factors[0] if n == 1 else tensor(*factors)
+            assert np.max(np.abs(outcome_distribution(c, factors)
+                                 - dense_distribution(c, product))) < 1e-12
+
+    @pytest.mark.parametrize("width", WIDTHS)
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    def test_factored_p0_matches_dense_input(self, n, width, monkeypatch):
+        monkeypatch.setattr(circuits, "BLOCK_COLUMNS", width)
+        net = build_estimation_network(n)
+        a, b = random_density(n, n, 88), random_density(n, n, 89)
+        want = probability_of_outcome(net, estimation_input(a, b), "0")
+        got = probability_of_outcome(net, (basis_state(1, 0).density(), a, b), "0")
+        assert abs(got - want) < 1e-12
+        assert abs(want - dense_distribution(net, estimation_input(a, b))[0]) < 1e-12
+        assert abs(build_purity_circuit(n, 3).p0(a)
+                   - probability_of_outcome(net, estimation_input(a, a), "0")) < 1e-12
+
+    def test_control_columns_that_read_one_never_run(self, monkeypatch):
+        monkeypatch.setattr(circuits, "BLOCK_COLUMNS", 3)
+        stacks = []
+
+        def record(c, mat):
+            stacks.append(mat.shape)
+            return apply_circuit(c, mat)
+        monkeypatch.setattr(circuits, "apply_circuit", record)
+        rho = random_density(2, 90)
+        build_purity_circuit(2, 1).p0(rho)
+        # 16 of the 32 input columns, in blocks of 3, 3, 3, 3, 3 and 1
+        assert stacks == [(32, 6)] * 5 + [(32, 2)]
+
+    def test_size_mismatch(self):
+        with pytest.raises(ValueError, match="size"):
+            outcome_distribution(build_estimation_network(1), random_density(2, 91))
 
 
 class TestPurityPlan:

@@ -1,10 +1,16 @@
 import json
+import os
+import resource
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import qlang
 from qlang import cli, experiments, protocols
-from qlang.circuits import Circuit, Gate, circuit_unitary
+from qlang.circuits import Circuit, Gate, circuit_unitary, swap_test_p0
 from qlang.cli import main
 from qlang.errors import CertificateError, FormatError
 from qlang.experiments import ExperimentConfig
@@ -30,6 +36,8 @@ from qlang.states import (
     PureState,
     basis_state,
     bell_state,
+    partial_trace,
+    purity,
     random_density,
     random_pure_state,
     tensor_states,
@@ -447,6 +455,40 @@ class TestCliExitCodes:
         assert main(["calib", "--gap", "0.3333333333333333",
                      "--err", "0.001"]) == 0
         assert json.loads(capsys.readouterr().out)["repetitions"] == 125
+
+
+class TestSixQubitSwapTest:
+    """``purity --prefix 6`` runs the 13-qubit estimation network in a child
+    process whose address space is capped at 2 GiB; the dense network input
+    alone would take 1 GiB, and its evolution several more."""
+
+    @staticmethod
+    def _purity(state_file):
+        def cap():
+            resource.setrlimit(resource.RLIMIT_AS, (2 << 30, 2 << 30))
+        src = str(Path(qlang.__file__).parents[1])
+        env = {**os.environ, "OPENBLAS_NUM_THREADS": "1",
+               "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+        return subprocess.run(
+            [sys.executable, "-m", "qlang.cli", "purity", "--state", state_file,
+             "--prefix", "6", "--reps", "3"],
+            env=env, preexec_fn=cap, capture_output=True, text=True, timeout=300)
+
+    def test_mixed_prefix_rejects_with_exact_p0(self, tmp_path):
+        phi = random_pure_state(7, 13)
+        p = tmp_path / "seven.json"
+        save_state(phi, p)
+        run = self._purity(str(p))
+        assert run.returncode == 1, run.stderr
+        p0 = json.loads(run.stdout)["transcript"][0]["p0_exact"]
+        want = swap_test_p0([purity(partial_trace(phi.density(), range(6)))], 6)
+        assert abs(p0 - want[0]) < 1e-12
+
+    def test_pure_state_accepts(self, tmp_path):
+        p = tmp_path / "six.json"
+        save_state(random_pure_state(6, 13), p)
+        run = self._purity(str(p))
+        assert run.returncode == 0, run.stderr
 
 
 class TestCliReplay:

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from qlang import circuits, protocols
+from qlang import circuits, protocols, states
 from qlang.circuits import (
     Circuit,
     Gate,
@@ -226,6 +226,22 @@ class TestVerifyL2:
         for bits in ("100", "011"):
             v = verify_L2(phi, Certificate.subset_string(bits), 8)
             assert v.exact_accept_prob == pytest.approx(1.0, abs=1e-10)
+
+    def test_L1_and_L2_build_no_dense_input(self, monkeypatch):
+        # the swap test's input comes column block by column block from its
+        # factors: no |0><0| (x) rho (x) rho and no U rho U^dagger
+        phi = random_pure_state(4, 42)
+        prod = tensor_states(random_pure_state(1, 1), random_pure_state(3, 2))
+
+        def refuse(*args):
+            raise AssertionError("dense swap-test input or evolution built")
+        monkeypatch.setattr(states, "tensor", refuse)
+        for name in ("tensor", "estimation_input", "evolve_exact"):
+            monkeypatch.setattr(circuits, name, refuse)
+        for shots in (None, 1000):
+            assert not verify_L1(phi, 3, 5, seed=1, shots=shots).accepted
+            assert verify_L2(prod, Certificate.subset_string("0111"), 5, seed=1,
+                             shots=shots).accepted
 
 
 class TestMerlinL3:

@@ -324,14 +324,6 @@ def swap_test_p0(overlaps, n: int) -> np.ndarray:
     return np.clip((1.0 + np.asarray(overlaps, dtype=float)) / 2, 0.0, 1.0)
 
 
-def swap_test_distribution(rho_a: DensityOperator, rho_b: DensityOperator) -> np.ndarray:
-    """Control-qubit distribution [P0, P1] of the estimation network."""
-    if rho_a.n != rho_b.n:
-        raise ValueError("register sizes differ")
-    p0 = swap_test_p0(np.vdot(rho_a.matrix, rho_b.matrix).real, rho_a.n)
-    return np.array([p0, 1.0 - p0])
-
-
 def hadamard_test_p0(psi: np.ndarray, u_psi: np.ndarray) -> np.ndarray:
     """Flag P0 of H . controlled-U . H on psi (x) |0>, for each amplitude
     row psi of ``psi`` and its image U psi, the matching row of ``u_psi``.
@@ -340,12 +332,6 @@ def hadamard_test_p0(psi: np.ndarray, u_psi: np.ndarray) -> np.ndarray:
     :func:`controlled_unitary` builds around U.
     """
     return np.clip((1.0 + np.sum(psi.conj() * u_psi, axis=-1).real) / 2, 0.0, 1.0)
-
-
-def hadamard_test_distribution(u: np.ndarray, psi: PureState) -> np.ndarray:
-    """Flag distribution [P0, P1] of H . controlled-U . H on psi (x) |0>."""
-    p0 = hadamard_test_p0(psi.amplitudes, u @ psi.amplitudes)
-    return np.array([p0, 1.0 - p0])
 
 
 @dataclass(frozen=True)

@@ -10,9 +10,10 @@ from __future__ import annotations
 
 import itertools
 import math
+import os
 import time
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field, replace
+from dataclasses import asdict, dataclass, field, replace
 
 from .errors import FormatError, ResourceLimitError
 from .rng import derive_seed
@@ -74,25 +75,13 @@ class ExperimentConfig:
             object.__setattr__(self, "cut", cut)
 
     def to_dict(self) -> dict:
-        return {
-            "protocol": self.protocol,
-            "instance": dict(self.instance),
-            "certificate": None if self.certificate is None else dict(self.certificate),
-            "repetitions": self.repetitions,
-            "shots": self.shots,
-            "trials": self.trials,
-            "master_seed": self.master_seed,
-            "epsilon": self.epsilon,
-            "prefix": self.prefix,
-            "cut": None if self.cut is None else list(self.cut),
-        }
+        return asdict(self)
 
     @classmethod
     def from_dict(cls, d: dict) -> "ExperimentConfig":
         if not isinstance(d, dict):
             raise FormatError("config must be a JSON object")
-        known = {f for f in cls.__dataclass_fields__}
-        extra = set(d) - known
+        extra = set(d) - set(cls.__dataclass_fields__)
         if extra:
             raise FormatError(f"unknown config fields: {sorted(extra)}")
         if "protocol" not in d or "instance" not in d:
@@ -287,7 +276,11 @@ def sweep(base: ExperimentConfig, grid: dict, workers: int = 1) -> list:
 
     ``grid`` maps config field names (repetitions, shots, epsilon, trials,
     prefix) to value lists; cells are the cartesian product in key order.
+    The cells run in min(``workers``, cells, CPUs) processes: a process
+    pool starts all of its processes at the first submit.
     """
+    if workers < 1:
+        raise ValueError(f"workers must be >= 1, got {workers}")
     if not isinstance(grid, dict) or not grid:
         raise ValueError("grid must be a nonempty mapping")
     for key, values in grid.items():
@@ -302,7 +295,8 @@ def sweep(base: ExperimentConfig, grid: dict, workers: int = 1) -> list:
             f"sweep would run {len(cells)} cells (limit {MAX_SWEEP_CELLS})")
     jobs = [(replace(base, **dict(zip(keys, values))), index)
             for index, values in enumerate(cells)]
-    if workers > 1:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
+    processes = min(workers, len(jobs), os.cpu_count() or 1)
+    if processes > 1:
+        with ProcessPoolExecutor(max_workers=processes) as pool:
             return list(pool.map(_run_cell, jobs))
     return [_run_cell(job) for job in jobs]

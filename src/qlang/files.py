@@ -1,4 +1,4 @@
-"""On-disk formats: states, certificates, circuits, configs, records.
+"""On-disk formats: states, certificates, circuits, records.
 
 States and witnesses are JSON with complex entries as [re, im] decimal
 pairs in row-major order; circuits use the one-gate-per-line text format
@@ -51,7 +51,7 @@ def state_from_dict(d: dict, where: str = "state"):
         raise FormatError(f"{where}: unsupported format version {d.get('format')!r}")
     kind = d.get("kind")
     n = d.get("n")
-    if not isinstance(n, int) or n < 1:
+    if isinstance(n, bool) or not isinstance(n, int) or n < 1:
         raise FormatError(f"{where}: bad qubit count {n!r}")
     dim = 1 << n
     if kind == "pure":
@@ -104,11 +104,16 @@ def _unitary_loader_for(base_dir: Path):
             p = base_dir / p
         try:
             d = json.loads(p.read_text())
-            return np.array([[complex(re, im) for re, im in row]
-                             for row in d["matrix"]]), tuple(d["targets"])
+            matrix = np.array([[complex(re, im) for re, im in row] for row in d["matrix"]])
+            targets = d["targets"]
         except (OSError, KeyError, TypeError, ValueError,
                 json.JSONDecodeError) as exc:
             raise FormatError(f"unitary payload {p}: {exc}") from exc
+        if not isinstance(targets, list) or any(
+                isinstance(t, bool) or not isinstance(t, int) for t in targets):
+            raise FormatError(f"unitary payload {p}: 'targets' must be a list of "
+                              f"qubit indices, got {targets!r}")
+        return matrix, tuple(targets)
     return load
 
 
@@ -168,8 +173,8 @@ def load_certificate(path) -> Certificate:
             d = json.loads(stripped)
         except json.JSONDecodeError as exc:
             raise CertificateError(f"{path}: {exc}") from exc
-        if "coeffs" not in d or "states" not in d:
-            raise CertificateError(f"{path}: witness JSON needs 'coeffs' and 'states'")
+        if "coeffs" not in d or not isinstance(d.get("states"), list):
+            raise CertificateError(f"{path}: witness JSON needs 'coeffs' and a 'states' list")
         states = []
         for i, entry in enumerate(d["states"]):
             if isinstance(entry, str):
@@ -194,25 +199,7 @@ def load_certificate(path) -> Certificate:
 
 
 # ---------------------------------------------------------------------------
-# configs and experiment records
-
-
-def load_config(path):
-    from .experiments import ExperimentConfig
-
-    path = Path(path)
-    try:
-        d = json.loads(path.read_text())
-    except (OSError, json.JSONDecodeError) as exc:
-        raise FormatError(f"{path}: {exc}") from exc
-    try:
-        return ExperimentConfig.from_dict(d)
-    except (TypeError, ValueError) as exc:
-        raise FormatError(f"{path}: {exc}") from exc
-
-
-def save_config(cfg, path) -> None:
-    _dump_json(cfg.to_dict(), Path(path))
+# experiment records
 
 
 _CSV_COLUMNS = ("cell_index", "protocol", "repetitions", "shots", "trials",

@@ -140,21 +140,10 @@ def member_L3(rho: DensityOperator, cut: Bipartition) -> Membership:
     return Membership(not verdict.separable, verdict.margin)
 
 
-def member_L3_classical(circuit_text: str, unitary_loader=None) -> bool:
-    """Does the described circuit map |0...0> to an entangled state?
-
-    Entangled means not expressible as a full tensor product of
-    single-qubit states, decided by :func:`circuit_output_entangled`.
-    """
-    from .circuits import parse_circuit_text
-
-    c = parse_circuit_text(circuit_text, unitary_loader)
-    return circuit_output_entangled(c)
-
-
 def circuit_output_entangled(c: Circuit) -> bool:
-    """A pure state is a full product iff every single-qubit cut has
-    Schmidt rank 1."""
+    """Does the circuit map |0...0> to an entangled state, one that is not a
+    full tensor product of single-qubit states?  A pure state is a full
+    product iff every single-qubit cut has Schmidt rank 1."""
     if c.n > L2_MAX_QUBITS:
         raise ResourceLimitError(f"cut search supports at most {L2_MAX_QUBITS} qubits")
     out = evolve_pure(c, basis_state(c.n, 0))

@@ -34,6 +34,7 @@ from .rng import make_rng, streams
 from .circuits import (
     Circuit,
     Gate,
+    _check_estimation_size,
     apply_circuit,
     build_purity_circuit,
     circuit_unitary,
@@ -197,13 +198,16 @@ class Estimator:
 # L1 / L2: purity of a prefix, purity of a claimed product factor
 
 
-def _purity_protocol(rho: DensityOperator, repetitions: int, seed: int,
-                     shots: int | None, copies_per_run: int) -> Verdict:
+def _purity_protocol(phi: PureState, bits: str, repetitions: int, seed: int,
+                     shots: int | None) -> Verdict:
+    """Swap-test the state of the qubits marked '1' in ``bits`` M times, two copies
+    of ``phi`` per run; the plan's size check runs before that state is built."""
     est = Estimator(shots)
-    plan = build_purity_circuit(rho.n, repetitions)
+    plan = build_purity_circuit(bits.count("1"), repetitions)
+    rho = subset_extract(phi, bits) if "0" in bits else phi.density()
     p0 = plan.p0(rho)
     freq = est.all_zero(p0, repetitions, seed)
-    return est.verdict(freq >= ACCEPT_THRESHOLD, repetitions, copies_per_run * repetitions,
+    return est.verdict(freq >= ACCEPT_THRESHOLD, repetitions, 2 * repetitions,
                        [{"p0_exact": p0}], exact=p0 ** repetitions, freq=freq)
 
 
@@ -219,9 +223,7 @@ def verify_L1(phi: PureState, f_n: int, repetitions: int, seed: int = 0,
         raise ValueError("repetition count must be >= 1")
     if not 1 <= f_n <= phi.n:
         raise ValueError(f"prefix length {f_n} outside 1..{phi.n}")
-    prefix = "1" * f_n + "0" * (phi.n - f_n)
-    rho = phi.density() if f_n == phi.n else subset_extract(phi, prefix)
-    return _purity_protocol(rho, repetitions, seed, shots, copies_per_run=2)
+    return _purity_protocol(phi, "1" * f_n + "0" * (phi.n - f_n), repetitions, seed, shots)
 
 
 def merlin_L2_honest(phi: PureState) -> Certificate:
@@ -242,8 +244,7 @@ def verify_L2(phi: PureState, cert: Certificate, repetitions: int, seed: int = 0
         raise CertificateError(f"subset string length {len(bits)} != {phi.n} qubits")
     if len(set(bits)) != 2:
         raise CertificateError("subset string must select a proper nonempty subset")
-    rho_s = subset_extract(phi, bits)
-    return _purity_protocol(rho_s, repetitions, seed, shots, copies_per_run=2)
+    return _purity_protocol(phi, bits, repetitions, seed, shots)
 
 
 # ---------------------------------------------------------------------------
@@ -313,6 +314,8 @@ def verify_L3(rho: DensityOperator, cert: Certificate, shots: int | None = None,
     if cut is None:
         cut = Bipartition.from_subset(rho.n, [0])
     est = Estimator(shots)
+    if shots is not None:  # the sampled swap tests' size limit, before the panel is built
+        _check_estimation_size(rho.n)
     k = len(cert.coeffs)
     panel = validity_panel(cut, seed, panel_random)
     # tr(rho_i |s><s|) = <s|rho_i|s> for every panel row s and witness state

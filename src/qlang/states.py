@@ -323,11 +323,11 @@ def partial_transpose(mat, cut: Bipartition) -> np.ndarray:
     n = cut.n
     if mat.shape != (1 << n, 1 << n):
         raise ValueError("bipartition does not match the matrix size")
-    t = mat.reshape([2] * (2 * n))
-    perm = list(range(2 * n))
+    # the flat matrix is a 2n-qubit vector: swap each B qubit's row and column qubits
+    order = list(range(2 * n))
     for q in cut.subset_b:
-        perm[q], perm[n + q] = n + q, q
-    return t.transpose(perm).reshape(1 << n, 1 << n)
+        order[q], order[n + q] = n + q, q
+    return permute_qubits(mat.reshape(-1), order).reshape(1 << n, 1 << n)
 
 
 @dataclass(frozen=True)

@@ -23,7 +23,7 @@ from qlang.circuits import (
     sample_from_distribution,
     sample_shots,
     subset_extract,
-    swap_test_distribution,
+    swap_test_p0,
 )
 from qlang.protocols import haar_unitary
 from qlang.states import (
@@ -77,16 +77,16 @@ class TestEstimationNetwork:
         # oracle: purity() computed directly from the matrix
         for seed in range(10):
             rho = random_density(1, seed, 50)
-            p0 = swap_test_distribution(rho, rho)[0]
+            p0 = swap_test_p0(overlap(rho, rho), 1)
             assert p0 == pytest.approx((purity(rho) + 1) / 2, abs=1e-12)
 
     def test_equal_pure_inputs_give_one(self):
         rho = random_pure_state(2, 3).density()
-        assert swap_test_distribution(rho, rho)[0] == pytest.approx(1.0, abs=1e-10)
+        assert swap_test_p0(overlap(rho, rho), 2) == pytest.approx(1.0, abs=1e-10)
 
     def test_mixed_target_case(self):
         # oracle: (0.5 + 1) / 2
-        p0 = swap_test_distribution(maximally_mixed(1), maximally_mixed(1))[0]
+        p0 = swap_test_p0(overlap(maximally_mixed(1), maximally_mixed(1)), 1)
         assert p0 == pytest.approx(0.75, abs=1e-12)
 
     @settings(max_examples=15, deadline=None)
@@ -94,7 +94,7 @@ class TestEstimationNetwork:
     def test_visibility_law(self, seed, n):
         rho_a = random_density(n, seed, 51)
         rho_b = random_density(n, seed, 52)
-        p0 = swap_test_distribution(rho_a, rho_b)[0]
+        p0 = swap_test_p0(overlap(rho_a, rho_b), n)
         assert abs(2 * p0 - 1 - overlap(rho_a, rho_b)) < 1e-10
 
     def test_network_is_unitary(self):
@@ -339,26 +339,26 @@ class TestSwapTestKernel:
             a = random_density(n, seed, 70)
             b = random_density(n, seed, 71)
             ref = outcome_distribution(net, estimation_input(a, b))
-            assert np.max(np.abs(swap_test_distribution(a, b) - ref)) < 1e-12
+            p0 = swap_test_p0(overlap(a, b), n)
+            assert np.max(np.abs([p0, 1 - p0] - ref)) < 1e-12
 
     @pytest.mark.parametrize("n", [1, 2, 3, 4])
     def test_same_shots_as_network(self, n):
         net = build_estimation_network(n)
         a = random_density(n, n, 72)
         b = random_density(n, n, 73)
-        got = sample_from_distribution(swap_test_distribution(a, b), 1, 1000, 5, n, 2)
+        p0 = swap_test_p0(overlap(a, b), n)
+        got = sample_from_distribution(np.array([p0, 1 - p0]), 1, 1000, 5, n, 2)
         assert got == sample_shots(net, estimation_input(a, b), 1000, 5, n, 2)
 
     def test_size_guards(self):
         with pytest.raises(ResourceLimitError):
-            swap_test_distribution(maximally_mixed(7), maximally_mixed(7))
-        with pytest.raises(ValueError):
-            swap_test_distribution(maximally_mixed(1), maximally_mixed(2))
+            swap_test_p0([overlap(maximally_mixed(7), maximally_mixed(7))], 7)
 
     def test_six_qubits_stays_small(self):
         # the network input would be a 2^13 x 2^13 matrix
         rho = random_pure_state(6, 4).density()
-        assert swap_test_distribution(rho, rho)[0] == pytest.approx(1.0, abs=1e-12)
+        assert swap_test_p0(overlap(rho, rho), 6) == pytest.approx(1.0, abs=1e-12)
 
 
 def random_circuit(n, seed):
@@ -466,7 +466,7 @@ class TestPurityPlan:
         plan = build_purity_circuit(1, 1)
         rho = random_density(1, 13)
         assert plan.exact_accept_prob(rho) == pytest.approx(
-            swap_test_distribution(rho, rho)[0], abs=1e-12)
+            swap_test_p0(overlap(rho, rho), 1), abs=1e-12)
 
     @pytest.mark.parametrize("reps", [1, 2, 3])
     def test_factorized_equals_monolithic(self, reps):

@@ -1,8 +1,10 @@
 import math
+import os
 
 import numpy as np
 import pytest
 
+from qlang import experiments
 from qlang.errors import FormatError, ResourceLimitError
 from qlang.experiments import (
     ExperimentConfig,
@@ -198,3 +200,35 @@ class TestSweep:
         serial = sweep(BELL_PREFIX_CFG, grid, workers=1)
         parallel = sweep(BELL_PREFIX_CFG, grid, workers=2)
         assert [r.to_dict() for r in serial] == [r.to_dict() for r in parallel]
+
+    def test_pool_size_is_bounded(self, monkeypatch):
+        # a process pool forks all of its workers at the first submit, so the
+        # pool is never larger than the cells or the CPUs
+        sizes = []
+
+        class SerialPool:
+            def __init__(self, max_workers):
+                sizes.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, jobs):
+                return map(fn, jobs)
+
+        monkeypatch.setattr(experiments, "ProcessPoolExecutor", SerialPool)
+        monkeypatch.setattr(os, "cpu_count", lambda: 4)
+        three, six = {"repetitions": [1, 2, 3]}, {"repetitions": list(range(1, 7))}
+        assert sweep(BELL_PREFIX_CFG, three, workers=100_000) == sweep(BELL_PREFIX_CFG, three)
+        assert sweep(BELL_PREFIX_CFG, six, workers=100_000) == sweep(BELL_PREFIX_CFG, six)
+        monkeypatch.setattr(os, "cpu_count", lambda: None)  # unknown: one process, no pool
+        sweep(BELL_PREFIX_CFG, six, workers=100_000)
+        assert sizes == [3, 4]
+
+    @pytest.mark.parametrize("workers", [0, -1])
+    def test_nonpositive_workers(self, workers):
+        with pytest.raises(ValueError, match="workers"):
+            sweep(BELL_PREFIX_CFG, {"repetitions": [1, 2]}, workers=workers)

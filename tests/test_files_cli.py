@@ -17,11 +17,9 @@ from qlang.experiments import ExperimentConfig
 from qlang.files import (
     load_certificate,
     load_circuit,
-    load_config,
     load_state,
     save_certificate,
     save_circuit,
-    save_config,
     save_state,
     write_records,
 )
@@ -161,21 +159,6 @@ class TestCertificateFiles:
 
 
 class TestConfigAndRecords:
-    def test_config_roundtrip(self, tmp_path):
-        cfg = ExperimentConfig(protocol="L1",
-                               instance={"name": "bell_prefix", "n": 3},
-                               repetitions=4, prefix=1, shots=100)
-        p = tmp_path / "cfg.json"
-        save_config(cfg, p)
-        assert load_config(p) == cfg
-
-    def test_config_unknown_field(self, tmp_path):
-        p = tmp_path / "cfg.json"
-        p.write_text(json.dumps({"protocol": "L1", "instance": {"name": "bell"},
-                                 "wrong": 1}))
-        with pytest.raises(FormatError):
-            load_config(p)
-
     def test_write_records(self, tmp_path):
         from qlang.experiments import run_experiment
         cfg = ExperimentConfig(protocol="L1",
@@ -208,6 +191,7 @@ def bell_prefix_file(tmp_path):
 
 
 WERNER = {"name": "werner", "p": 0.5}
+IDENTITY_4 = [[[float(i == j), 0.0] for j in range(4)] for i in range(4)]
 
 
 def _cheat_config(variant, params):
@@ -337,20 +321,36 @@ class TestCliExitCodes:
         "epsilon is NaN": ("sweep", {"protocol": "L1", "instance": {"name": "bell"},
                                      "epsilon": NAN}),
         "cheat theta is NaN": ("sweep", _cheat_config("complement_phase", {"theta": NAN})),
+        "state n is a boolean": ("state", {"format": 1, "kind": "pure", "n": True,
+                                           "data": [[1, 0], [0, 0]]}),
+        "witness states is null": ("witness", {"coeffs": [1.0], "states": None}),
+        "unitary targets are strings": ("unitary", {"targets": ["q0", "q1"],
+                                                    "matrix": IDENTITY_4}),
+        "unitary targets are floats": ("unitary", {"targets": [0.0, 1.0],
+                                                   "matrix": IDENTITY_4}),
     }
 
     @pytest.mark.parametrize("case", list(MALFORMED))
-    def test_malformed_input_is_2(self, case, tmp_path, capsys):
+    def test_malformed_input_is_2(self, case, bell_file, tmp_path, capsys):
+        """The input file is a state, a sweep config, a witness certificate,
+        or the UNITARY payload of a two-qubit circuit."""
         kind, payload = self.MALFORMED[case]
         p = tmp_path / "input.json"
         p.write_text(json.dumps(payload))
-        if kind == "state":
-            argv = ["purity", "--state", str(p), "--prefix", "1", "--reps", "3"]
-        else:
-            argv = ["sweep", "--config", str(p), "--out", str(tmp_path / "out")]
-        assert main(argv) == 2
-        err = capsys.readouterr().err
-        assert err.startswith("error:") and "Traceback" not in err
+        circuit = tmp_path / "circuit.txt"
+        circuit.write_text("qubits 2\nUNITARY input.json\n")
+        argvs = {
+            "state": [["purity", "--state", str(p), "--prefix", "1", "--reps", "3"]],
+            "sweep": [["sweep", "--config", str(p), "--out", str(tmp_path / "out")]],
+            "witness": [["witness", "--state", bell_file, "--cert", str(p)]],
+            "unitary": [["bridge", "--circuit", str(circuit)],
+                        ["reflect", "--state", bell_file, "--cert", str(circuit),
+                         "--probes", "2"]],
+        }[kind]
+        for argv in argvs:
+            assert main(argv) == 2
+            err = capsys.readouterr().err
+            assert err.startswith("error:") and "Traceback" not in err
 
     def test_verifier_looked_up_at_call_time(self, bell_file, tmp_path, monkeypatch):
         calls = []
@@ -391,6 +391,16 @@ class TestCliExitCodes:
         p = tmp_path / "big.json"
         save_state(basis_state(11, 0), p)
         assert main(["oracle", "--state", str(p), "--language", "L2"]) == 3
+
+    def test_oversized_prefix_is_3_before_allocating(self, tmp_path, monkeypatch, capsys):
+        def refuse(*args):
+            raise AssertionError("prefix state built before the size check")
+
+        monkeypatch.setattr(protocols, "subset_extract", refuse)
+        p = tmp_path / "fourteen.json"
+        save_state(random_pure_state(14, 1), p)
+        assert main(["purity", "--state", str(p), "--prefix", "13", "--reps", "3"]) == 3
+        assert "estimation network size 13" in capsys.readouterr().err
 
     def test_sampled_seven_qubit_swap_test_is_3(self, tmp_path, capsys):
         p = tmp_path / "seven.json"

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from qlang.errors import ResourceLimitError, UnsupportedOracleError, FormatError
+from qlang.errors import ResourceLimitError, UnsupportedOracleError
 from qlang.circuits import Circuit, Gate, evolve_pure, parse_circuit_text
 from qlang.languages import (
     LanguageId,
@@ -14,7 +14,6 @@ from qlang.languages import (
     member_L1,
     member_L2,
     member_L3,
-    member_L3_classical,
 )
 from qlang.states import (
     Bipartition,
@@ -57,8 +56,8 @@ class TestLanguageId:
             LanguageId("L7")
 
     def test_classical_variant_is_not_an_id(self):
-        # the classical-description variant of L3 is member_L3_classical;
-        # classify() never served it as a language id
+        # classify() never served the classical-description variant of L3
+        # as a language id
         with pytest.raises(ValueError):
             LanguageId("L3classical")
 
@@ -268,11 +267,7 @@ class TestClassicalBridge:
         assert circuit_output_entangled(c)
 
     def test_hadamard_only(self):
-        assert not member_L3_classical("qubits 2\nH q0\n")
-
-    def test_parse_failure(self):
-        with pytest.raises(FormatError):
-            member_L3_classical("H q0\n")
+        assert not circuit_output_entangled(parse_circuit_text("qubits 2\nH q0\n"))
 
     def test_matches_marginal_purity_oracle(self):
         for seed in range(40):

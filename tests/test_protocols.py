@@ -10,13 +10,13 @@ from qlang.circuits import (
     Gate,
     circuit_unitary,
     evolve_pure,
-    hadamard_test_distribution,
+    hadamard_test_p0,
     parse_circuit_text,
     probability_of_outcome,
     reflection_matrix,
     sample_from_distribution,
 )
-from qlang.errors import CertificateError, StrategyError
+from qlang.errors import CertificateError, ResourceLimitError, StrategyError
 from qlang.protocols import (
     Certificate,
     Estimator,
@@ -242,6 +242,26 @@ class TestVerifyL2:
             assert not verify_L1(phi, 3, 5, seed=1, shots=shots).accepted
             assert verify_L2(prod, Certificate.subset_string("0111"), 5, seed=1,
                              shots=shots).accepted
+
+
+    def test_size_checked_before_the_state_is_built(self, monkeypatch):
+        # the 7-qubit swap test is refused before rho, or the L3 panel, exists
+        phi = random_pure_state(8, 1)
+        rho = ghz_state(7).density()
+
+        def refuse(*args):
+            raise AssertionError("state built before the size check")
+        monkeypatch.setattr(protocols, "subset_extract", refuse)
+        monkeypatch.setattr(protocols, "validity_panel", refuse)
+        monkeypatch.setattr(PureState, "density", refuse)
+        with pytest.raises(ResourceLimitError):
+            verify_L1(phi, 7, 3)
+        with pytest.raises(ResourceLimitError):
+            verify_L1(random_pure_state(7, 1), 7, 3)
+        with pytest.raises(ResourceLimitError):
+            verify_L2(phi, Certificate.subset_string("11111110"), 3)
+        with pytest.raises(ResourceLimitError):
+            verify_L3(rho, Certificate.witness([(1.0, rho)]), shots=100)
 
 
 class TestMerlinL3:
@@ -501,10 +521,9 @@ class TestChecker:
         states = [phi] + [random_orthogonal_state(phi, 3, 20, j) for j in range(3)]
         for psi in states + [random_pure_state(2, 205)]:
             inp = tensor_states(psi, basis_state(1, 0)).density()
-            dist = hadamard_test_distribution(u, psi)
-            for bit in "01":
-                ref = probability_of_outcome(checker, inp, bit)
-                assert abs(dist[int(bit)] - ref) < 1e-12
+            p0 = hadamard_test_p0(psi.amplitudes, u @ psi.amplitudes)
+            for bit, p in zip("01", (p0, 1 - p0)):
+                assert abs(p - probability_of_outcome(checker, inp, bit)) < 1e-12
 
 
 class TestVerifyL5:

@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -260,6 +262,21 @@ class TestSeparabilityOracle:
         cut = Bipartition.from_subset(2, [0])
         twice = partial_transpose(partial_transpose(rho, cut), cut)
         assert np.allclose(twice, rho.matrix)
+
+    @pytest.mark.parametrize("n", [2, 3, 4])
+    def test_partial_transpose_entrywise(self, n):
+        # (m^T_B)[(a, b), (a', b')] = m[(a, b'), (a', b)]: the row and the
+        # column index trade their B bits, on every cut
+        rng = np.random.default_rng(n)
+        d = 1 << n
+        m = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
+        i, j = np.arange(d)[:, None], np.arange(d)[None, :]
+        for k in range(1, n):
+            for side_a in itertools.combinations(range(n), k):
+                cut = Bipartition.from_subset(n, side_a)
+                b = sum(1 << (n - 1 - q) for q in cut.subset_b)
+                want = m[(i & ~b) | (j & b), (j & ~b) | (i & b)]
+                assert np.array_equal(partial_transpose(m, cut), want)
 
 
 class TestDecomposeHermitian:
